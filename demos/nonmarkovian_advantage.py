@@ -13,15 +13,11 @@ from densecoding import (
     BellLabel,
     DephasingTimes,
     JointSpectrum,
-    PAULI_FOR_BELL,
-    Party,
-    apply_pauli,
     bell_state,
     capacity_bob_noise,
     capacity_from_non_markovianity,
     capacity_pre_encoding,
-    evolve_post_encoding,
-    evolve_pre_encoding,
+    dephasing_mask,
     fidelity,
     non_markovianity,
 )
@@ -43,12 +39,13 @@ def main():
     spec = JointSpectrum(k=-1.0)
     t = np.sqrt(-2.0 * np.log(kappa))
     sent = BellLabel.PSI_PLUS
-    rho = evolve_pre_encoding(spec, t)
-    rho = apply_pauli(rho, PAULI_FOR_BELL[sent], Party.ALICE)
-    rho = evolve_post_encoding(rho, spec, DephasingTimes(t, t))
+    # noise before the X encoding: the sender coefficient is flipped
     print()
-    print(f"k = -1, equal stage durations: fidelity with the encoded "
-          f"{sent.value} = {fidelity(rho, bell_state(sent)):.12f}")
+    for label, times in (("sender stage only", DephasingTimes(t, 0.0)),
+                         ("both stages", DephasingTimes(t, t))):
+        rho = bell_state(sent) * dephasing_mask(spec, times, flip_sender=True)
+        print(f"k = -1, {label}: fidelity with the encoded "
+              f"{sent.value} = {fidelity(rho, bell_state(sent)):.12f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import CONFIG_DEFAULTS, ConfigError, RunConfig, build_config, tokenize_config
-from .environment import decoherence_function
+from .environment import DephasingTimes, decoherence_function
 from .experiment import (
     estimate_mi_with_errors,
     fit_k_s,
@@ -23,7 +23,13 @@ from .experiment import (
     run_sweep,
     sweep_rows_to_csv,
 )
-from .protocol import closed_form_mi, conditional_probabilities, effective_visibility
+from .protocol import (
+    closed_form_applies,
+    conditional_probabilities,
+    effective_visibility,
+    mutual_information,
+    simulate_protocol,
+)
 from .states import concurrence, density_matrix_to_text
 
 __all__ = ["main"]
@@ -106,8 +112,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_closed_form(cfg: RunConfig, command: str) -> None:
+    """Refuse a command whose closed-form model is not the configured channel."""
+    spec = cfg.spectrum
+    if not closed_form_applies(spec, cfg.scheme.variant, cfg.noise_order):
+        raise ValueError(
+            f"{command} uses the closed-form channel, which needs c_aa = c_bb and, "
+            f"with FOUR_STATE, NOISE_BEFORE_ENCODING; got c_aa = {spec.c_aa:g}, "
+            f"c_bb = {spec.c_bb:g}, {cfg.scheme.variant.value}, {cfg.noise_order.value}")
+
+
 def _cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    _require_closed_form(cfg, "mc")
     if args.kappa_abs is not None:
         kappa_abs = args.kappa_abs
     else:
@@ -117,7 +134,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     table = conditional_probabilities(cfg.scheme, m)
     mean, std = estimate_mi_with_errors(table, cfg.scheme, cfg.n_per_input,
                                         cfg.trials, cfg.seed)
-    theory = closed_form_mi(cfg.scheme.variant, kappa_abs, cfg.spectrum.k, cfg.s)
+    theory = mutual_information(cfg.scheme, table, cfg.s)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["kappa_abs", "mi_theory", "mi_mc_mean", "mi_mc_std"])
@@ -158,6 +175,9 @@ def _read_fit_points(path: str) -> list[tuple[float, float]]:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    _require_closed_form(cfg, "fit")
+    if len(set(cfg.scheme.priors)) > 1:
+        raise ValueError("fit uses the closed-form curves, which need uniform priors")
     points = _read_fit_points(args.input_path)
     result = fit_k_s(points, cfg.scheme.variant)
     _emit(fit_result_to_csv(result), args, cfg)
@@ -204,7 +224,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
     ]
     for tag, t in (("first", cfg.time_grid[0]), ("last", cfg.time_grid[-1])):
         kappa_abs = abs(decoherence_function(spec, t))
-        theory = closed_form_mi(cfg.scheme.variant, kappa_abs, spec.k, cfg.s)
+        table = simulate_protocol(spec, DephasingTimes(t, t), cfg.scheme, cfg.noise_order)
+        theory = mutual_information(cfg.scheme, table, cfg.s)
         lines.append(f"kappa_abs_{tag} = {kappa_abs:.17g}")
         lines.append(f"mi_theory_{tag} = {theory:.17g}")
     _emit("\n".join(lines) + "\n", args, cfg)

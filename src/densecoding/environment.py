@@ -9,30 +9,22 @@ function, which is what makes the closed forms exact.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import validate_density_matrix
+from .states import BellLabel, bell_state
 
 __all__ = [
     "DephasingTimes",
     "JointSpectrum",
-    "StructuralError",
-    "capacity_from_non_markovianity",
     "decoherence_function",
-    "dephase_encoded_state",
-    "evolve_post_encoding",
+    "dephasing_mask",
     "evolve_pre_encoding",
     "joint_dephasing_factor",
     "non_markovianity",
 ]
-
-
-class StructuralError(ValueError):
-    """Input state does not have the expected single-coherence-pair structure."""
 
 
 @dataclass(frozen=True)
@@ -77,17 +69,17 @@ class DephasingTimes:
             raise ValueError(f"t_b must be non-negative, got {self.t_b}")
 
 
-def _characteristic_function(spec: JointSpectrum, u: float, v: float,
-                             include_phase: bool = True) -> complex:
+def _characteristic_function(spec: JointSpectrum, u, v, include_phase: bool = True):
     """E[exp(i(u wA + v wB))] for the jointly Gaussian frequencies.
 
-    The deterministic mean-phase factor exp(i (u+v) omega0 / 2) is dropped
-    when ``include_phase`` is false (phase-compensated convention).
+    ``u`` and ``v`` are scalars or arrays of one shape.  The deterministic
+    mean-phase factor exp(i (u+v) omega0 / 2) is dropped when
+    ``include_phase`` is false (phase-compensated convention).
     """
     quad = (spec.c_aa * u * u + spec.c_bb * v * v
             + 2.0 * spec.k * math.sqrt(spec.c_aa * spec.c_bb) * u * v)
     phase = (u + v) * spec.omega0 / 2.0 if include_phase else 0.0
-    return cmath.exp(complex(-quad / 2.0, phase))
+    return np.exp(-quad / 2.0 + 1j * phase)
 
 
 def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:
@@ -98,7 +90,7 @@ def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:
     """
     if not (math.isfinite(t_a) and t_a >= 0):
         raise ValueError(f"t_a must be non-negative, got {t_a}")
-    return _characteristic_function(spec, spec.delta_n * t_a, 0.0)
+    return complex(_characteristic_function(spec, spec.delta_n * t_a, 0.0))
 
 
 def joint_dephasing_factor(spec: JointSpectrum, times: DephasingTimes) -> complex:
@@ -107,85 +99,41 @@ def joint_dephasing_factor(spec: JointSpectrum, times: DephasingTimes) -> comple
     With equal times, equal variances and k = -1 the modulus is exactly 1:
     the receiver-side stage rebuilds the coherence the sender-side stage lost.
     """
-    return _characteristic_function(spec, spec.delta_n * times.t_a, spec.delta_n * times.t_b)
+    return complex(_characteristic_function(
+        spec, spec.delta_n * times.t_a, spec.delta_n * times.t_b))
+
+
+# Whether each photon is H (1) or V (0) in the basis (HH, HV, VH, VV); entry
+# (i, j) of a state picks up the frequency coefficient of ket i minus bra j.
+_SENDER_H = np.array([1.0, 1.0, 0.0, 0.0])
+_RECEIVER_H = np.array([1.0, 0.0, 1.0, 0.0])
+_SENDER_DIFF = _SENDER_H[:, None] - _SENDER_H[None, :]
+_RECEIVER_DIFF = _RECEIVER_H[:, None] - _RECEIVER_H[None, :]
+
+
+def dephasing_mask(spec: JointSpectrum, times: DephasingTimes,
+                   flip_sender: bool = False, include_phase: bool = False) -> np.ndarray:
+    """Elementwise multiplier of both correlated noise stages on a 4x4 state.
+
+    Entry (i, j) is the joint characteristic function at
+    u = +-dn t_a (hA_i - hA_j), v = dn t_b (hB_i - hB_j), where hA and hB
+    mark an H photon on the sender and receiver side.  A state dephased by
+    both stages is ``rho * mask``.  ``flip_sender`` negates u: it takes the
+    sender coefficient in the frame before an X or Y encoding, which is the
+    Psi sector of the noise-before-encoding order.  Without
+    ``include_phase`` the deterministic mean phase is compensated and every
+    entry is real.
+    """
+    sign = -1.0 if flip_sender else 1.0
+    u = (sign * spec.delta_n * times.t_a) * _SENDER_DIFF
+    v = (spec.delta_n * times.t_b) * _RECEIVER_DIFF
+    return _characteristic_function(spec, u, v, include_phase)
 
 
 def evolve_pre_encoding(spec: JointSpectrum, t_a: float) -> np.ndarray:
     """Shared state after sender-side dephasing of |Phi+> for duration t_a."""
-    kappa = decoherence_function(spec, t_a)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = 0.5
-    rho[0, 3] = kappa / 2.0
-    rho[3, 0] = kappa.conjugate() / 2.0
-    return rho
-
-
-# Entries that carry the coherence forward with a positive frequency
-# coefficient: (HH,VV) before encoding and (VH,HV) after an X/Y encoding.
-_CARRIER_ENTRIES = ((0, 3), (2, 1))
-_OFF_PAIR_ENTRIES = ((0, 1), (0, 2), (1, 0), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2))
-_STRUCTURE_TOL = 1e-10
-
-
-def evolve_post_encoding(rho_encoded: np.ndarray, spec: JointSpectrum,
-                         times: DephasingTimes,
-                         phase_compensation: bool = True) -> np.ndarray:
-    """Receiver-side dephasing stage applied after the sender's encoding.
-
-    The surviving coherence pair already carries the sender-stage factor, so
-    it is multiplied by the conditional receiver-stage factor (including the
-    cross term between the two environments); the total coherence factor then
-    equals :func:`joint_dephasing_factor`.  With ``phase_compensation`` the
-    deterministic phase exp(i dn (t_a + t_b) omega0 / 2) is removed, leaving
-    the real magnitude.
-
-    Raises :class:`StructuralError` if the input has coherences outside a
-    single anti-diagonal pair.
-    """
-    rho = validate_density_matrix(rho_encoded, dim=4).copy()
-    if any(abs(rho[i, j]) > _STRUCTURE_TOL for i, j in _OFF_PAIR_ENTRIES):
-        raise StructuralError("coherences outside the two anti-diagonal pairs")
-    if abs(rho[0, 3]) > _STRUCTURE_TOL and abs(rho[2, 1]) > _STRUCTURE_TOL:
-        raise StructuralError("coherences present on both anti-diagonal pairs")
-
-    dn = spec.delta_n
-    cross = 2.0 * spec.k * math.sqrt(spec.c_aa * spec.c_bb) * times.t_a * times.t_b
-    envelope_log = -(dn * dn) * (spec.c_bb * times.t_b ** 2 + cross) / 2.0
-    phase = dn * times.t_b * spec.omega0 / 2.0
-    if phase_compensation:
-        # also strip the phase the sender stage already imprinted
-        phase -= dn * (times.t_a + times.t_b) * spec.omega0 / 2.0
-    factor = cmath.exp(complex(envelope_log, phase))
-
-    for i, j in _CARRIER_ENTRIES:
-        rho[i, j] *= factor
-        rho[j, i] *= factor.conjugate()
-    return validate_density_matrix(rho, dim=4)
-
-
-def dephase_encoded_state(rho_encoded: np.ndarray, spec: JointSpectrum,
-                          times: DephasingTimes,
-                          phase_compensation: bool = True) -> np.ndarray:
-    """Apply both correlated noise stages to an already-encoded state.
-
-    This is the reordered protocol (sender noise after the encoding): every
-    entry picks up the joint characteristic function evaluated with the
-    frequency coefficients of its own bra/ket structure, so coherences in
-    the Psi sector see the opposite sign of the cross term.
-    """
-    rho = validate_density_matrix(rho_encoded, dim=4).copy()
-    dn = spec.delta_n
-    # +1 for an H ket / -1 for an H bra contribution, per basis index a*2+b
-    weight = (1, 0)  # H -> 1, V -> 0
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            u = dn * times.t_a * (weight[i >> 1] - weight[j >> 1])
-            v = dn * times.t_b * (weight[i & 1] - weight[j & 1])
-            rho[i, j] *= _characteristic_function(
-                spec, u, v, include_phase=not phase_compensation)
-    return validate_density_matrix(rho, dim=4)
+    mask = dephasing_mask(spec, DephasingTimes(t_a, 0.0), include_phase=True)
+    return bell_state(BellLabel.PHI_PLUS) * mask
 
 
 def non_markovianity(kappa_abs: float, k: float) -> float:
@@ -195,23 +143,3 @@ def non_markovianity(kappa_abs: float, k: float) -> float:
     if not -1.0 <= k <= 1.0:
         raise ValueError(f"k must lie in [-1, 1], got {k}")
     return kappa_abs ** (1.0 - k * k) - kappa_abs
-
-
-def capacity_from_non_markovianity(n: float, kappa_abs: float) -> float:
-    """Dense-coding capacity in bits expressed through the backflow measure.
-
-    Inverts n = |kappa|^(1-k^2) - |kappa| for |k| and feeds the result into
-    the joint-noise capacity formula; valid for anticorrelated environments
-    (k <= 0), where |k| determines k.
-    """
-    from .protocol import capacity_bob_noise  # local import to avoid a cycle
-
-    if not 0.0 < kappa_abs < 1.0:
-        raise ValueError(
-            f"kappa_abs must lie strictly in (0, 1), got {kappa_abs} (logarithm degenerate)")
-    if n < 0.0 or n + kappa_abs > 1.0 + 1e-9:
-        raise ValueError(
-            f"n must satisfy 0 <= n <= 1 - kappa_abs, got n={n}, kappa_abs={kappa_abs}")
-    log_ratio = min(math.log(min(n + kappa_abs, 1.0)) / math.log(kappa_abs), 1.0)
-    k_abs = math.sqrt(1.0 - log_ratio)
-    return capacity_bob_noise(kappa_abs, -k_abs)

@@ -17,14 +17,12 @@ import numpy as np
 
 from .environment import DephasingTimes, JointSpectrum, decoherence_function, evolve_pre_encoding
 from .protocol import (
-    BELL_OUTPUT_ORDER,
     ConditionalTable,
     EncodingScheme,
     NoiseOrder,
     SchemeVariant,
     _mi3_from_x,
     _mi4_from_x,
-    closed_form_mi,
     mutual_information,
     simulate_protocol,
 )
@@ -274,8 +272,8 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
 
     For every t the row records |kappa|, the concurrence recovered through
     the exact tomography pipeline (equal to |kappa| for this state family),
-    the closed-form mutual information at the configured (k, s), and the
-    parametric-bootstrap mean and standard deviation.  The offset s is
+    the Born-rule mutual information of the simulated channel minus s, and
+    the parametric-bootstrap mean and standard deviation.  The offset s is
     subtracted from the bootstrap mean so the column models the measured
     mutual information the theory column is fitted to.
     """
@@ -288,8 +286,8 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         state = evolve_pre_encoding(spec, t)
         counts = expected_tomography_counts(state, float(n_per_input))
         conc = concurrence(reconstruct_linear_inversion(counts, float(n_per_input)))
-        theory = closed_form_mi(scheme.variant, kappa_abs, spec.k, s)
         table = simulate_protocol(spec, DephasingTimes(t, t), scheme, noise_order)
+        theory = mutual_information(scheme, table, s)
         mean, std = estimate_mi_with_errors(
             table, scheme, n_per_input, trials, _derived_seed(seed, index))
         rows.append(SweepRow(t, kappa_abs, conc, theory,

@@ -2,10 +2,12 @@
 
 The dephasing channel couples each encoded Bell state only to its partner
 within the same sector (Phi+ <-> Phi-, Psi+ <-> Psi-), so every conditional
-distribution is a two-point mixture controlled by a single visibility
-``m = kappa_abs ** (2 (1 + k))``.  The closed-form mutual-information
-expressions below are exact for that channel; :func:`simulate_protocol` is
-the independent density-matrix route used to check them.
+distribution is a two-point mixture controlled by one visibility per
+sector.  With equal variances both sectors share
+``m = kappa_abs ** (2 (1 + k))``, and the closed-form mutual-information
+expressions below are exact where :func:`closed_form_applies` says so;
+:func:`simulate_protocol` is the independent density-matrix route used to
+check them, and the theory of record everywhere else.
 """
 
 from __future__ import annotations
@@ -13,38 +15,26 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from .environment import (
-    DephasingTimes,
-    JointSpectrum,
-    dephase_encoded_state,
-    evolve_post_encoding,
-    evolve_pre_encoding,
-)
-from .states import (
-    PAULI_FOR_BELL,
-    BellLabel,
-    Party,
-    apply_pauli,
-    bell_state,
-    binary_entropy,
-)
+from .environment import DephasingTimes, JointSpectrum, dephasing_mask
+from .states import BellLabel, _xlogy, bell_state, binary_entropy
 
 __all__ = [
     "BELL_OUTPUT_ORDER",
     "ConditionalTable",
     "EncodingScheme",
-    "MeasurementModel",
     "NoiseOrder",
     "SECTOR_PARTNER",
     "SchemeVariant",
     "capacity_bob_noise",
+    "capacity_from_non_markovianity",
     "capacity_pre_encoding",
+    "closed_form_applies",
     "closed_form_mi",
     "closed_form_mi3",
     "closed_form_mi4",
@@ -81,14 +71,6 @@ class SchemeVariant(enum.Enum):
 class NoiseOrder(enum.Enum):
     NOISE_BEFORE_ENCODING = "NOISE_BEFORE_ENCODING"
     NOISE_AFTER_ENCODING = "NOISE_AFTER_ENCODING"
-
-
-class MeasurementModel(enum.Enum):
-    """Outcome model of the receiver; only the ideal four-outcome projective
-    Bell measurement is implemented, with residual imperfections absorbed
-    into the scalar offset ``s`` of the mutual-information formulas."""
-
-    IDEAL_PROJECTIVE_4 = "IDEAL_PROJECTIVE_4"
 
 
 _ALPHABETS = {
@@ -258,6 +240,24 @@ def capacity_bob_noise(kappa_abs: float, k: float) -> float:
     return 2.0 - binary_entropy((1.0 + effective_visibility(kappa_abs, k)) / 2.0)
 
 
+def capacity_from_non_markovianity(n: float, kappa_abs: float) -> float:
+    """Dense-coding capacity in bits expressed through the backflow measure.
+
+    Inverts n = |kappa|^(1-k^2) - |kappa| for |k| and feeds the result into
+    the joint-noise capacity formula; valid for anticorrelated environments
+    (k <= 0), where |k| determines k.
+    """
+    if not 0.0 < kappa_abs < 1.0:
+        raise ValueError(
+            f"kappa_abs must lie strictly in (0, 1), got {kappa_abs} (logarithm degenerate)")
+    if n < 0.0 or n + kappa_abs > 1.0 + 1e-9:
+        raise ValueError(
+            f"n must satisfy 0 <= n <= 1 - kappa_abs, got n={n}, kappa_abs={kappa_abs}")
+    log_ratio = min(math.log(min(n + kappa_abs, 1.0)) / math.log(kappa_abs), 1.0)
+    k_abs = math.sqrt(1.0 - log_ratio)
+    return capacity_bob_noise(kappa_abs, -k_abs)
+
+
 def _mi3_from_x(x):
     """Three-state mutual information (bits, no offset) as a function of the
     visibility x, in the natural-log form with 1/ln 8 prefactor."""
@@ -274,7 +274,7 @@ def _mi4_from_x(x):
     """Four-state mutual information (bits, no offset) as a function of the
     visibility x, in the natural-log form with 1/ln 4 prefactor."""
     x = np.asarray(x, dtype=float)
-    bracket = xlogy(1.0 - x, 2.0 - 2.0 * x) + xlogy(1.0 + x, 2.0 + 2.0 * x)
+    bracket = _xlogy(1.0 - x, 2.0 - 2.0 * x) + _xlogy(1.0 + x, 2.0 + 2.0 * x)
     return bracket / np.log(4.0)
 
 
@@ -298,6 +298,19 @@ def closed_form_mi4(kappa_abs: float, k: float, s: float = 0.0) -> float:
     return max(0.0, float(_mi4_from_x(x)) - s)
 
 
+def closed_form_applies(spec: JointSpectrum, variant: SchemeVariant,
+                        noise_order: NoiseOrder) -> bool:
+    """Whether the closed forms describe the channel of :func:`simulate_protocol`.
+
+    They assume equal variances (so one visibility kappa_abs ** (2 (1 + k))
+    per sector) and, with four states, the noise before the encoding: after
+    it the Psi sector sees the opposite cross term.  Three states are exact
+    in both orders, because Psi+ is never confused with another input.
+    """
+    return spec.c_aa == spec.c_bb and not (
+        variant is SchemeVariant.FOUR_STATE and noise_order is NoiseOrder.NOISE_AFTER_ENCODING)
+
+
 def closed_form_mi(variant: SchemeVariant, kappa_abs: float, k: float,
                    s: float = 0.0) -> float:
     """Dispatch to the closed form matching the encoding variant."""
@@ -306,14 +319,9 @@ def closed_form_mi(variant: SchemeVariant, kappa_abs: float, k: float,
     return closed_form_mi4(kappa_abs, k, s)
 
 
-def _bell_projectors() -> dict[BellLabel, np.ndarray]:
-    projectors = {label: bell_state(label) for label in BELL_OUTPUT_ORDER}
-    for p in projectors.values():
-        p.setflags(write=False)
-    return projectors
-
-
-_PROJECTORS = _bell_projectors()
+_PROJECTORS = np.array([bell_state(y) for y in BELL_OUTPUT_ORDER])
+_PROJECTORS.setflags(write=False)
+_PSI_SECTOR = (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
 
 
 def simulate_protocol(spec: JointSpectrum, times: DephasingTimes,
@@ -322,22 +330,16 @@ def simulate_protocol(spec: JointSpectrum, times: DephasingTimes,
                       ) -> ConditionalTable:
     """Full density-matrix pipeline from shared state to Bell-outcome table.
 
-    For every alphabet symbol: prepare |Phi+>, apply the sender-side
-    dephasing stage before or after the Pauli encoding according to
-    ``noise_order``, apply the receiver-side stage with the correlated cross
-    term, and project onto the four Bell states.  Rows are Born-rule
-    probabilities, independent of the closed-form visibility expressions.
+    Every alphabet symbol's Bell state is dephased by both correlated noise
+    stages (:func:`~densecoding.environment.dephasing_mask`) and projected
+    onto the four Bell states.  With the noise before the encoding, the X
+    and Y encodings of the Psi sector see the sender coefficient of the
+    pre-encoding frame.  Rows are Born-rule probabilities, independent of
+    the closed-form visibility expressions.
     """
-    rows = np.zeros((len(scheme.alphabet), 4))
-    for i, symbol in enumerate(scheme.alphabet):
-        pauli = PAULI_FOR_BELL[symbol]
-        if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING:
-            rho = evolve_pre_encoding(spec, times.t_a)
-            rho = apply_pauli(rho, pauli, Party.ALICE)
-            rho = evolve_post_encoding(rho, spec, times)
-        else:
-            rho = apply_pauli(bell_state(BellLabel.PHI_PLUS), pauli, Party.ALICE)
-            rho = dephase_encoded_state(rho, spec, times)
-        for j, outcome in enumerate(BELL_OUTPUT_ORDER):
-            rows[i, j] = max(0.0, float(np.trace(_PROJECTORS[outcome] @ rho).real))
-    return ConditionalTable(scheme.alphabet, BELL_OUTPUT_ORDER, rows)
+    before = noise_order is NoiseOrder.NOISE_BEFORE_ENCODING
+    flips = [before and x in _PSI_SECTOR for x in scheme.alphabet]
+    masks = {flip: dephasing_mask(spec, times, flip_sender=flip) for flip in set(flips)}
+    states = np.array([bell_state(x) * masks[flip] for x, flip in zip(scheme.alphabet, flips)])
+    probs = np.einsum("yji,xij->xy", _PROJECTORS, states).real
+    return ConditionalTable(scheme.alphabet, BELL_OUTPUT_ORDER, np.clip(probs, 0.0, None))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "BASIS_LABELS",
@@ -77,13 +76,13 @@ _PAULI_MATRICES = {
     PauliLabel.Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-
+# Unnormalized (norm sqrt 2): the projectors divide by 2, so their entries
+# are exactly 0 or +-1/2.
 _BELL_VECTORS = {
-    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * _SQRT_HALF,
-    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * _SQRT_HALF,
-    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * _SQRT_HALF,
-    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * _SQRT_HALF,
+    BellLabel.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex),
+    BellLabel.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex),
+    BellLabel.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex),
+    BellLabel.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex),
 }
 
 #: Encoding operation on Alice's qubit that maps |Phi+> onto each Bell state.
@@ -122,6 +121,12 @@ def validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarr
     return rho
 
 
+def _xlogy(x, y):
+    """Elementwise x * ln(y), with 0 wherever x is 0 (so 0 ln 0 = 0)."""
+    x = np.asarray(x, dtype=float)
+    return x * np.log(np.where(x == 0.0, 1.0, y))
+
+
 def _clamped_eigenvalues(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues with the [-1e-10, 0) band clamped to exactly zero."""
     vals = np.linalg.eigvalsh(rho)
@@ -134,7 +139,7 @@ def _clamped_eigenvalues(rho: np.ndarray) -> np.ndarray:
 def bell_state(label: BellLabel) -> np.ndarray:
     """Rank-1 projector onto the named Bell state in the (HH, HV, VH, VV) basis."""
     vec = _BELL_VECTORS[label]
-    return np.outer(vec, vec.conj())
+    return np.outer(vec, vec.conj()) / 2.0
 
 
 def apply_pauli(rho: np.ndarray, pauli: PauliLabel, party: Party) -> np.ndarray:
@@ -159,14 +164,14 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """Spectral entropy -sum(lam * log2(lam)) of a density matrix of any dimension."""
     rho = validate_density_matrix(rho)
     vals = _clamped_eigenvalues(rho)
-    return float(-xlogy(vals, vals).sum() / np.log(2.0))
+    return float(-_xlogy(vals, vals).sum() / np.log(2.0))
 
 
 def binary_entropy(x: float) -> float:
     """Entropy of a biased coin in bits, with H(0) = H(1) = 0."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
-    return float(-(xlogy(x, x) + xlogy(1.0 - x, 1.0 - x)) / np.log(2.0))
+    return float(-(_xlogy(x, x) + _xlogy(1.0 - x, 1.0 - x)) / np.log(2.0))
 
 
 _Y_OTIMES_Y = np.kron(_PAULI_MATRICES[PauliLabel.Y], _PAULI_MATRICES[PauliLabel.Y]).real

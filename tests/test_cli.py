@@ -7,9 +7,14 @@ import pytest
 
 from densecoding import (
     BellLabel,
+    EncodingScheme,
     bell_state,
+    closed_form_mi4,
+    conditional_probabilities,
     density_matrix_from_text,
+    effective_visibility,
     expected_tomography_counts,
+    mutual_information,
 )
 from densecoding.cli import main
 
@@ -63,7 +68,8 @@ class TestSweep:
 class TestShow:
     def test_endpoints_match_sweep_rows(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(SMALL_SWEEP + "s = 0.0749\n")
+        cfg.write_text(SMALL_SWEEP + "s = 0.0749\nk = -0.5\nscheme = FOUR_STATE\n"
+                       "noise_order = NOISE_AFTER_ENCODING\n")
         _, shown, _ = run_cli(["show", "--config", str(cfg)], capsys)
         values = dict(line.split(" = ", 1) for line in shown.splitlines())
         _, sweep_csv, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
@@ -115,6 +121,38 @@ class TestMc:
         assert stdout == ""
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("flags", [
+        ["--c-bb", "2"],
+        ["--scheme", "FOUR_STATE", "--noise-order", "NOISE_AFTER_ENCODING"],
+    ])
+    def test_refuses_channel_outside_closed_form(self, flags, capsys):
+        code, stdout, stderr = run_cli(
+            ["mc", "--kappa-abs", "0.5", "--trials", "20", "--n-per-input", "500", *flags],
+            capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: mc ")
+
+    def test_three_state_accepts_noise_after_encoding(self, capsys):
+        code, stdout, _ = run_cli(
+            ["mc", "--kappa-abs", "0.5", "--k", "-0.5", "--trials", "20",
+             "--n-per-input", "500", "--noise-order", "NOISE_AFTER_ENCODING"], capsys)
+        assert code == 0
+        assert len(stdout.splitlines()) == 2
+
+    def test_theory_follows_priors(self, capsys):
+        priors = (0.4, 0.3, 0.2, 0.1)
+        code, stdout, _ = run_cli(
+            ["mc", "--kappa-abs", "0.5", "--k", "-0.5", "--scheme", "FOUR_STATE",
+             "--priors", ",".join(map(str, priors)), "--s", "0.01", "--trials", "20",
+             "--n-per-input", "500"], capsys)
+        assert code == 0
+        theory = float(stdout.splitlines()[1].split(",")[1])
+        scheme = EncodingScheme.four_state(priors)
+        table = conditional_probabilities(scheme, effective_visibility(0.5, -0.5))
+        assert theory == pytest.approx(mutual_information(scheme, table, 0.01), abs=1e-12)
+        assert abs(theory - closed_form_mi4(0.5, -0.5, 0.01)) > 1e-3
+
 
 class TestFit:
     def test_round_trip_from_sweep_csv(self, tmp_path, capsys):
@@ -145,6 +183,19 @@ class TestFit:
         k_hat, s_hat = stdout.splitlines()[1].split(",")[:2]
         assert float(k_hat) == pytest.approx(-1.0, abs=1e-6)
         assert float(s_hat) == pytest.approx(math.log2(3.0) - 1.51006, abs=1e-3)
+
+    @pytest.mark.parametrize("flags", [
+        ["--c-aa", "0.5"],
+        ["--scheme", "FOUR_STATE", "--noise-order", "NOISE_AFTER_ENCODING"],
+        ["--priors", "0.8,0.1,0.1"],
+    ])
+    def test_refuses_channel_outside_closed_form(self, flags, tmp_path, capsys):
+        data = tmp_path / "points.csv"
+        data.write_text("0.2,1.2\n0.5,1.3\n0.9,1.6\n")
+        code, stdout, stderr = run_cli(["fit", "--in", str(data), *flags], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: fit ")
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, stdout, stderr = run_cli(

@@ -15,16 +15,15 @@ from densecoding import (
     BellLabel,
     DephasingTimes,
     JointSpectrum,
+    PAULI_FOR_BELL,
     PauliLabel,
     Party,
-    StructuralError,
     apply_pauli,
     bell_state,
     capacity_bob_noise,
     capacity_from_non_markovianity,
     decoherence_function,
-    dephase_encoded_state,
-    evolve_post_encoding,
+    dephasing_mask,
     evolve_pre_encoding,
     fidelity,
     joint_dephasing_factor,
@@ -145,23 +144,30 @@ class TestEvolvePreEncoding:
             validate_density_matrix(evolve_pre_encoding(JointSpectrum(k=0.2), t), dim=4)
 
 
+# The mask acts on an encoded Bell state; with the noise before the encoding
+# the X and Y encodings (Psi sector) take the sender coefficient flipped.
+_PSI_SECTOR = (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
+_BASIS_H = ((1, 1), (1, 0), (0, 1), (0, 0))  # (Alice H, Bob H) per basis index
+
+
 class TestEvolvePostEncoding:
+    """Both stages with the noise before the encoding, in the encoded frame."""
+
     def test_idle_receiver_without_compensation_is_identity(self):
+        # with t_b = 0 the mask is the sender stage carried through the X
+        # encoding: the pre-encoding state, then X
         spec = JointSpectrum(k=-0.4)
-        rho = apply_pauli(evolve_pre_encoding(spec, 1.1), PauliLabel.X, Party.ALICE)
-        out = evolve_post_encoding(rho, spec, DephasingTimes(1.1, 0.0),
-                                   phase_compensation=False)
-        np.testing.assert_allclose(out, rho, atol=1e-14)
+        staged = apply_pauli(evolve_pre_encoding(spec, 1.1), PauliLabel.X, Party.ALICE)
+        out = bell_state(BellLabel.PSI_PLUS) * dephasing_mask(
+            spec, DephasingTimes(1.1, 0.0), flip_sender=True, include_phase=True)
+        np.testing.assert_allclose(out, staged, atol=1e-14)
 
     @pytest.mark.parametrize("label", list(BellLabel))
     def test_anticorrelated_noise_recreates_bell_state(self, label):
-        from densecoding import PAULI_FOR_BELL
-
         spec = JointSpectrum(k=-1.0)
         t = 1.905  # |kappa| ~ 0.163
-        rho = evolve_pre_encoding(spec, t)
-        rho = apply_pauli(rho, PAULI_FOR_BELL[label], Party.ALICE)
-        out = evolve_post_encoding(rho, spec, DephasingTimes(t, t))
+        out = bell_state(label) * dephasing_mask(
+            spec, DephasingTimes(t, t), flip_sender=label in _PSI_SECTOR)
         assert fidelity(out, bell_state(label)) >= 1.0 - 1e-10
 
     @pytest.mark.parametrize("k", [-1.0, -0.6, 0.0, 0.5])
@@ -171,52 +177,34 @@ class TestEvolvePostEncoding:
         # is |kappa| ** (2 (1 + k))
         spec = JointSpectrum(k=k)
         t = math.sqrt(-2.0 * math.log(kappa))
-        rho = apply_pauli(evolve_pre_encoding(spec, t), PauliLabel.X, Party.ALICE)
-        out = evolve_post_encoding(rho, spec, DephasingTimes(t, t))
+        out = bell_state(BellLabel.PSI_PLUS) * dephasing_mask(
+            spec, DephasingTimes(t, t), flip_sender=True)
         assert 2.0 * abs(out[2, 1]) == pytest.approx(kappa ** (2 * (1 + k)), abs=1e-10)
 
     def test_total_factor_equals_joint_dephasing_factor(self):
         spec = JointSpectrum(omega0=2.2, c_aa=1.3, c_bb=0.7, k=-0.8, delta_n=0.9)
         times = DephasingTimes(0.9, 1.6)
-        rho = evolve_pre_encoding(spec, times.t_a)
-        out = evolve_post_encoding(rho, spec, times, phase_compensation=False)
-        assert 2.0 * out[0, 3] == pytest.approx(
-            joint_dephasing_factor(spec, times), abs=1e-12)
+        mask = dephasing_mask(spec, times, include_phase=True)
+        assert mask[0, 3] == pytest.approx(joint_dephasing_factor(spec, times), abs=1e-12)
 
     def test_phase_compensation_leaves_real_magnitude(self):
         spec = JointSpectrum(k=-0.3)
         times = DephasingTimes(0.8, 0.8)
-        out = evolve_post_encoding(evolve_pre_encoding(spec, 0.8), spec, times)
-        coh = 2.0 * out[0, 3]
+        coh = dephasing_mask(spec, times)[0, 3]
         assert coh.imag == pytest.approx(0.0, abs=1e-12)
         assert coh.real == pytest.approx(abs(joint_dephasing_factor(spec, times)), abs=1e-12)
 
-    def test_rejects_coherence_outside_antidiagonal_pairs(self):
-        rho = np.full((4, 4), 0.25, dtype=complex)
-        with pytest.raises(StructuralError):
-            evolve_post_encoding(rho, JointSpectrum(), DephasingTimes(1.0, 1.0))
-
-    def test_rejects_two_active_pairs(self):
-        rho = np.zeros((4, 4), dtype=complex)
-        np.fill_diagonal(rho, 0.25)
-        rho[0, 3] = rho[3, 0] = 0.1
-        rho[1, 2] = rho[2, 1] = 0.1
-        with pytest.raises(StructuralError):
-            evolve_post_encoding(rho, JointSpectrum(), DephasingTimes(1.0, 1.0))
-
 
 class TestDephaseEncodedState:
+    """Both stages with the noise after the encoding."""
+
     def test_matches_staged_route_for_phi_sector(self):
-        # Z-encoded states commute with the sender-side noise, so both noise
-        # orders must give the same state
+        # Z commutes with the sender-side noise, so dephasing before and
+        # after the Z encoding must give the same state
         spec = JointSpectrum(k=-0.6)
-        times = DephasingTimes(1.2, 1.2)
-        staged = evolve_post_encoding(
-            apply_pauli(evolve_pre_encoding(spec, times.t_a), PauliLabel.Z, Party.ALICE),
-            spec, times)
-        reordered = dephase_encoded_state(
-            apply_pauli(bell_state(BellLabel.PHI_PLUS), PauliLabel.Z, Party.ALICE),
-            spec, times)
+        mask = dephasing_mask(spec, DephasingTimes(1.2, 1.2))
+        staged = apply_pauli(bell_state(BellLabel.PHI_PLUS) * mask, PauliLabel.Z, Party.ALICE)
+        reordered = apply_pauli(bell_state(BellLabel.PHI_PLUS), PauliLabel.Z, Party.ALICE) * mask
         np.testing.assert_allclose(staged, reordered, atol=1e-12)
 
     def test_psi_sector_sees_opposite_cross_term(self):
@@ -224,17 +212,47 @@ class TestDephaseEncodedState:
         # coefficient on Alice's side: cross term flips, oracle by quadrature
         spec = JointSpectrum(k=-0.8)
         times = DephasingTimes(0.9, 0.9)
-        rho = dephase_encoded_state(bell_state(BellLabel.PSI_PLUS), spec, times,
-                                    phase_compensation=False)
+        rho = bell_state(BellLabel.PSI_PLUS) * dephasing_mask(spec, times, include_phase=True)
         oracle = phase_average_quadrature(
             spec, -spec.delta_n * times.t_a, spec.delta_n * times.t_b)
         assert 2.0 * rho[2, 1] == pytest.approx(oracle, abs=1e-8)
 
     def test_output_valid(self):
         spec = JointSpectrum(k=0.3)
-        out = dephase_encoded_state(bell_state(BellLabel.PSI_MINUS), spec,
-                                    DephasingTimes(0.7, 1.1))
+        out = bell_state(BellLabel.PSI_MINUS) * dephasing_mask(spec, DephasingTimes(0.7, 1.1))
         validate_density_matrix(out, dim=4)
+
+
+class TestDephasingMask:
+    @given(st.floats(0.2, 2.5), st.floats(0.2, 2.5), st.floats(-1.0, 1.0),
+           st.floats(-1.5, 1.5), st.floats(-3.0, 3.0), st.floats(0.0, 1.5),
+           st.floats(0.0, 1.5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_entry_matches_quadrature(self, c_aa, c_bb, k, delta_n, omega0,
+                                            t_a, t_b, flip_sender):
+        spec = JointSpectrum(omega0=omega0, c_aa=c_aa, c_bb=c_bb, k=k, delta_n=delta_n)
+        mask = dephasing_mask(spec, DephasingTimes(t_a, t_b), flip_sender=flip_sender,
+                              include_phase=True)
+        sign = -1.0 if flip_sender else 1.0
+        for i, (a_i, b_i) in enumerate(_BASIS_H):
+            for j, (a_j, b_j) in enumerate(_BASIS_H):
+                u = sign * delta_n * t_a * (a_i - a_j)
+                v = delta_n * t_b * (b_i - b_j)
+                assert mask[i, j] == pytest.approx(
+                    phase_average_quadrature(spec, u, v), abs=1e-8)
+
+    @pytest.mark.parametrize("label", list(BellLabel))
+    def test_noise_before_encoding_is_the_flipped_mask(self, label):
+        # dephasing |Phi+> and then encoding equals encoding and then the
+        # mask with the sender coefficient of the pre-encoding frame
+        spec = JointSpectrum(omega0=1.3, c_aa=0.8, c_bb=1.7, k=-0.45, delta_n=1.2)
+        times = DephasingTimes(0.7, 1.3)
+        before = apply_pauli(
+            bell_state(BellLabel.PHI_PLUS) * dephasing_mask(spec, times, include_phase=True),
+            PAULI_FOR_BELL[label], Party.ALICE)
+        encoded = bell_state(label) * dephasing_mask(
+            spec, times, flip_sender=label in _PSI_SECTOR, include_phase=True)
+        np.testing.assert_allclose(encoded, before, atol=1e-14)
 
 
 class TestNonMarkovianity:

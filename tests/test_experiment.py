@@ -10,6 +10,7 @@ from densecoding import (
     DephasingTimes,
     EncodingScheme,
     JointSpectrum,
+    NoiseOrder,
     SchemeVariant,
     bell_state,
     closed_form_mi3,
@@ -247,6 +248,17 @@ class TestRunSweep:
             if abs(row.mi_mc_mean - exact) > 3.0 * max(row.mi_mc_std, 1e-12):
                 violations += 1
         assert violations <= 1  # flaky tolerance: one violation per 40 rows allowed
+
+    @pytest.mark.parametrize("c_bb, order, expected", [
+        (2.0, NoiseOrder.NOISE_BEFORE_ENCODING, 1.1532),
+        (1.0, NoiseOrder.NOISE_AFTER_ENCODING, 1.1604),
+    ])
+    def test_theory_is_born_rule_outside_closed_form_regime(self, c_bb, order, expected):
+        # the equal-variance, noise-before-encoding closed form gives 1.2847
+        # here; the theory column must follow the simulated channel instead
+        spec = JointSpectrum(c_bb=c_bb, k=-0.5)
+        row = run_sweep(spec, [1.0], FOUR, 1000, 2, 0, noise_order=order)[0]
+        assert row.mi_theory == pytest.approx(expected, abs=1e-4)
 
     def test_csv_determinism_and_header(self):
         spec = JointSpectrum(k=-0.5)

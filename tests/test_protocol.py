@@ -19,9 +19,12 @@ from densecoding import (
     binary_entropy,
     capacity_bob_noise,
     capacity_pre_encoding,
+    closed_form_applies,
+    closed_form_mi,
     closed_form_mi3,
     closed_form_mi4,
     conditional_probabilities,
+    decoherence_function,
     dense_coding_capacity,
     effective_visibility,
     evolve_pre_encoding,
@@ -239,7 +242,7 @@ class TestClosedForms:
         assert all(b >= a - 1e-12 for a, b in zip(mi4, mi4[1:]))
 
 
-class TestMeasurementModel:
+class TestBellProjectors:
     def test_bell_projectors_complete_and_orthogonal(self):
         projectors = [bell_state(y) for y in BELL_OUTPUT_ORDER]
         np.testing.assert_allclose(sum(projectors), np.eye(4), atol=1e-14)
@@ -303,3 +306,33 @@ class TestSimulateProtocol:
         table = simulate_protocol(spec, DephasingTimes(0.9, 1.3), THREE)
         assert np.all(table.p_y_given_x >= 0.0)
         np.testing.assert_allclose(table.p_y_given_x.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestClosedFormApplies:
+    @given(st.floats(0.2, 3.0), st.floats(-1.0, 1.0), st.floats(-1.5, 1.5),
+           st.floats(-3.0, 3.0), st.floats(0.0, 2.5), st.sampled_from(list(SchemeVariant)),
+           st.sampled_from(list(NoiseOrder)))
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_is_born_rule_where_it_applies(self, c, k, delta_n, omega0, t,
+                                                       variant, order):
+        spec = JointSpectrum(omega0=omega0, c_aa=c, c_bb=c, k=k, delta_n=delta_n)
+        assert closed_form_applies(spec, variant, order) == (
+            variant is SchemeVariant.THREE_STATE or order is NoiseOrder.NOISE_BEFORE_ENCODING)
+        if not closed_form_applies(spec, variant, order):
+            return
+        scheme = EncodingScheme(variant)
+        born = mutual_information(
+            scheme, simulate_protocol(spec, DephasingTimes(t, t), scheme, order))
+        kappa = abs(decoherence_function(spec, t))
+        assert born == pytest.approx(closed_form_mi(variant, kappa, k), abs=1e-10)
+
+    @pytest.mark.parametrize("spec, order", [
+        (JointSpectrum(c_bb=2.0, k=-0.5), NoiseOrder.NOISE_BEFORE_ENCODING),
+        (JointSpectrum(k=-0.5), NoiseOrder.NOISE_AFTER_ENCODING),
+    ])
+    def test_refuses_where_closed_form_misses(self, spec, order):
+        assert not closed_form_applies(spec, SchemeVariant.FOUR_STATE, order)
+        born = mutual_information(FOUR, simulate_protocol(spec, DephasingTimes(1.0, 1.0),
+                                                          FOUR, order))
+        kappa = abs(decoherence_function(spec, 1.0))
+        assert abs(born - closed_form_mi4(kappa, -0.5)) > 0.1
