@@ -124,15 +124,26 @@ def dephasing_mask(spec: JointSpectrum, times: DephasingTimes,
     ``include_phase`` the deterministic mean phase is compensated and every
     entry is real.
     """
+    return _dephasing_masks(spec, times.t_a, times.t_b, flip_sender, include_phase)
+
+
+def _dephasing_masks(spec: JointSpectrum, t_a, t_b, flip_sender: bool = False,
+                     include_phase: bool = False) -> np.ndarray:
+    """:func:`dephasing_mask` for broadcastable arrays of checked durations: (..., 4, 4)."""
     sign = -1.0 if flip_sender else 1.0
-    u = (sign * spec.delta_n * times.t_a) * _SENDER_DIFF
-    v = (spec.delta_n * times.t_b) * _RECEIVER_DIFF
+    u = (sign * spec.delta_n * np.asarray(t_a))[..., None, None] * _SENDER_DIFF
+    v = (spec.delta_n * np.asarray(t_b))[..., None, None] * _RECEIVER_DIFF
     return _characteristic_function(spec, u, v, include_phase)
 
 
 def evolve_pre_encoding(spec: JointSpectrum, t_a: float) -> np.ndarray:
     """Shared state after sender-side dephasing of |Phi+> for duration t_a."""
-    mask = dephasing_mask(spec, DephasingTimes(t_a, 0.0), include_phase=True)
+    return _pre_encoding_states(spec, DephasingTimes(t_a, 0.0).t_a)
+
+
+def _pre_encoding_states(spec: JointSpectrum, t_a) -> np.ndarray:
+    """:func:`evolve_pre_encoding` for an array of checked durations: (..., 4, 4)."""
+    mask = _dephasing_masks(spec, t_a, 0.0, include_phase=True)
     return bell_state(BellLabel.PHI_PLUS) * mask
 
 

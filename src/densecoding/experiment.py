@@ -1,8 +1,10 @@
 """Counting statistics, least-squares fitting, tomography and noise sweeps.
 
 Everything random is driven by explicit integer seeds through
-``numpy.random.default_rng``; per-trial and per-row streams are derived
-with ``SeedSequence`` so results are independent of execution order.
+``numpy.random.default_rng``.  A bootstrap draws all its trials from one
+stream; sweep row i bootstraps from its own stream, derived from
+(seed, i) with ``SeedSequence``, so a row's values do not depend on which
+other rows are computed with it.
 """
 
 from __future__ import annotations
@@ -15,18 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import DephasingTimes, JointSpectrum, decoherence_function, evolve_pre_encoding
+from .environment import JointSpectrum, _characteristic_function, _pre_encoding_states
 from .protocol import (
     ConditionalTable,
     EncodingScheme,
     NoiseOrder,
     SchemeVariant,
+    _born_tables,
+    _checked_probabilities,
     _mi3_from_x,
     _mi4_from_x,
-    mutual_information,
-    simulate_protocol,
+    _mi_bits,
 )
-from .states import BellLabel, concurrence, validate_density_matrix
+from .states import BellLabel, _concurrences, _validate_states, validate_density_matrix
 
 __all__ = [
     "CountTable",
@@ -98,21 +101,26 @@ def sample_counts(table: ConditionalTable, n_per_input: int, seed: int) -> Count
     Each input symbol receives ``n_per_input`` shots; identical arguments
     give identical counts.
     """
+    counts = _draw_counts(table.p_y_given_x, n_per_input, 1, seed)[0]
+    return CountTable(table.inputs, table.outputs, counts, n_per_input)
+
+
+def _draw_counts(p: np.ndarray, n_per_input: int, trials: int, seed: int) -> np.ndarray:
+    """Count tables (trials, inputs, outcomes) for one p(y|x) table from one
+    multinomial call; the stream is consumed trial by trial, input by input."""
     if n_per_input <= 0:
         raise ValueError(f"n_per_input must be positive, got {n_per_input}")
-    rng = np.random.default_rng(seed)
-    rows = []
-    for row in table.p_y_given_x:
-        p = np.clip(row, 0.0, None)
-        rows.append(rng.multinomial(n_per_input, p / p.sum()))
-    return CountTable(table.inputs, table.outputs, np.array(rows), n_per_input)
+    p = np.clip(p, 0.0, None)
+    return np.random.default_rng(seed).multinomial(
+        n_per_input, p / p.sum(axis=-1, keepdims=True), size=(trials, p.shape[0]))
 
 
-def _plugin_mi(counts: CountTable, scheme: EncodingScheme) -> float:
-    """Mutual information of the empirical frequency table (offset-free)."""
-    freq = counts.counts / counts.n_per_input
-    table = ConditionalTable(counts.inputs, counts.outputs, freq)
-    return mutual_information(scheme, table, 0.0)
+def _bootstrap_stats(priors: np.ndarray, counts: np.ndarray,
+                     n_per_input: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample std over trials of the clamped, offset-free plug-in MI of
+    count tables shaped (..., trials, inputs, outcomes)."""
+    values = np.maximum(0.0, _mi_bits(priors, counts / n_per_input))
+    return values.mean(axis=-1), values.std(axis=-1, ddof=1)
 
 
 def estimate_mi_with_errors(table: ConditionalTable, scheme: EncodingScheme,
@@ -120,29 +128,39 @@ def estimate_mi_with_errors(table: ConditionalTable, scheme: EncodingScheme,
                             ) -> tuple[float, float]:
     """Parametric-bootstrap mean and standard deviation of the plug-in MI.
 
-    Runs ``trials`` independent count tables, computes the plug-in mutual
-    information of each (offset-free) and returns the sample mean and the
-    sample standard deviation.
+    Draws ``trials`` independent count tables from the stream of ``seed``
+    (trial 0 is ``sample_counts(table, n_per_input, seed)``), computes the
+    plug-in mutual information of each (offset-free) and returns the sample
+    mean and the sample standard deviation.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    values = np.empty(trials)
-    for trial in range(trials):
-        counts = sample_counts(table, n_per_input, _derived_seed(seed, trial))
-        values[trial] = _plugin_mi(counts, scheme)
-    return float(values.mean()), float(values.std(ddof=1))
+    if table.inputs != scheme.alphabet:
+        raise ValueError("table inputs do not match the scheme alphabet")
+    counts = _draw_counts(table.p_y_given_x, n_per_input, trials, seed)
+    mean, std = _bootstrap_stats(np.asarray(scheme.priors), counts, n_per_input)
+    return float(mean), float(std)
+
+
+# Entries of the (points, k, s) residual array held at once: the coarse grid
+# takes one point at a time, a 21 x 21 refinement window a few hundred.
+_RSS_CELLS = 1 << 17
+# Moves of a refinement window along a valley before it stops regardless.
+_MAX_WINDOW_MOVES = 100
 
 
 def _rss_surface(kappas: np.ndarray, mis: np.ndarray, variant: SchemeVariant,
                  k_grid: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
     """Residual sum of squares of the closed-form model over a (k, s) grid."""
     model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
+    chunk = max(1, _RSS_CELLS // (k_grid.size * s_grid.size))
     rss = np.zeros((k_grid.size, s_grid.size))
-    for kappa, mi in zip(kappas, mis):
-        x = kappa ** (2.0 + 2.0 * k_grid)
-        f = model(x)
-        resid = np.maximum(f[:, None] - s_grid[None, :], 0.0) - mi
-        rss += resid * resid
+    for lo in range(0, kappas.size, chunk):
+        f = model(kappas[lo:lo + chunk, None] ** (2.0 + 2.0 * k_grid))
+        resid = f[:, :, None] - s_grid
+        np.maximum(resid, 0.0, out=resid)
+        resid -= mis[lo:lo + chunk, None, None]
+        rss += np.einsum("pks,pks->ks", resid, resid)
     return rss
 
 
@@ -162,13 +180,21 @@ def _centered_grid(center: float, step: float, lo: float, hi: float) -> np.ndarr
     return np.unique(grid)
 
 
+def _on_inner_edge(value: float, grid: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether value is an end of the window that is not a bound of the search."""
+    return (value == grid[0] and grid[0] > lo) or (value == grid[-1] and grid[-1] < hi)
+
+
 def fit_k_s(points, variant: SchemeVariant) -> FitResult:
     """Bounded least-squares fit of (k, s) to measured (kappa_abs, mi) pairs.
 
     Deterministic derivative-free search: a coarse grid with steps
-    (0.01 in k, 0.001 in s) followed by two local refinement passes that each
-    shrink the steps tenfold.  Ties are broken toward smaller |k|, then
-    smaller s.
+    (0.01 in k, 0.001 in s) followed by two refinement levels that each
+    shrink the steps tenfold.  A level searches a 21 x 21 window around the
+    current optimum and re-centres it while the optimum lies on an edge of
+    the window that is not a bound (k in [-1, 1], s >= 0), so it follows
+    the diagonal valley along which k and s trade off.  Ties are broken
+    toward smaller |k|, then smaller s.
     """
     pts = [(float(k), float(m)) for k, m in points]
     if len(pts) < 2:
@@ -185,11 +211,15 @@ def fit_k_s(points, variant: SchemeVariant) -> FitResult:
         _rss_surface(kappas, mis, variant, k_grid, s_grid), k_grid, s_grid)
 
     for _ in range(2):
-        k_grid = _centered_grid(k_hat, k_step / 10, -1.0, 1.0)
-        s_grid = _centered_grid(s_hat, s_step / 10, 0.0, math.inf)
-        k_hat, s_hat, rss = _pick_minimum(
-            _rss_surface(kappas, mis, variant, k_grid, s_grid), k_grid, s_grid)
         k_step, s_step = k_step / 10, s_step / 10
+        for _ in range(_MAX_WINDOW_MOVES):
+            k_grid = _centered_grid(k_hat, k_step, -1.0, 1.0)
+            s_grid = _centered_grid(s_hat, s_step, 0.0, math.inf)
+            k_hat, s_hat, rss = _pick_minimum(
+                _rss_surface(kappas, mis, variant, k_grid, s_grid), k_grid, s_grid)
+            if not (_on_inner_edge(k_hat, k_grid, -1.0, 1.0)
+                    or _on_inner_edge(s_hat, s_grid, 0.0, math.inf)):
+                break
 
     return FitResult(k_hat, s_hat, rss, len(pts))
 
@@ -207,13 +237,10 @@ _KETS = {
 TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
 
 
-def _tomography_projectors() -> list[np.ndarray]:
-    projectors = []
-    for a, b in TOMOGRAPHY_SETTINGS:
-        ket = np.kron(_KETS[a], _KETS[b])
-        proj = np.outer(ket, ket.conj())
-        proj.setflags(write=False)
-        projectors.append(proj)
+def _tomography_projectors() -> np.ndarray:
+    kets = [np.kron(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
+    projectors = np.array([np.outer(ket, ket.conj()) for ket in kets])
+    projectors.setflags(write=False)
     return projectors
 
 
@@ -229,9 +256,13 @@ _DESIGN_INV.setflags(write=False)
 
 def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.ndarray:
     """Noise-free expected counts n * <P_i> for the sixteen settings."""
-    rho = validate_density_matrix(rho, dim=4)
-    probs = np.array([float(np.trace(p @ rho).real) for p in _PROJECTORS])
-    return n_per_projector * np.clip(probs, 0.0, 1.0)
+    return n_per_projector * _tomography_probabilities(validate_density_matrix(rho, dim=4))
+
+
+def _tomography_probabilities(rho: np.ndarray) -> np.ndarray:
+    """Tr(P_i rho) clipped to [0, 1] for states shaped (..., 4, 4): (..., 16)."""
+    probs = np.trace(_PROJECTORS @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    return np.clip(probs, 0.0, 1.0)
 
 
 def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.ndarray:
@@ -253,15 +284,25 @@ def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
     freq = np.asarray(counts, dtype=float) / float(n_per_projector)
     if freq.shape != (16,):
         raise ValueError(f"expected 16 counts, got shape {freq.shape}")
-    rho = (_DESIGN_INV @ freq).reshape(4, 4)
-    rho = (rho + rho.conj().T) / 2.0
+    return validate_density_matrix(_reconstruct(freq), dim=4)
+
+
+def _reconstruct(freq: np.ndarray) -> np.ndarray:
+    """Unvalidated linear inversion of frequencies shaped (..., 16): (..., 4, 4)."""
+    rho = (_DESIGN_INV @ freq[..., None]).reshape(freq.shape[:-1] + (4, 4))
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None)
-    total = vals.sum()
-    if total <= 0:
+    total = vals.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("reconstruction gives a zero state; counts unusable")
-    rho = (vecs * (vals / total)) @ vecs.conj().T
-    return validate_density_matrix(rho, dim=4)
+    return (vecs * (vals / total)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+# Bootstrap count tables (rows x trials) per block of stacked rows, so 128
+# rows at two trials.  Blocks bound memory only: no value of a row depends
+# on the other rows of its block.
+_TABLES_PER_BLOCK = 256
 
 
 def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
@@ -276,22 +317,43 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     the parametric-bootstrap mean and standard deviation.  The offset s is
     subtracted from the bootstrap mean so the column models the measured
     mutual information the theory column is fitted to.
+
+    Row i equals the scalar route at its t: ``evolve_pre_encoding``,
+    ``expected_tomography_counts``, ``reconstruct_linear_inversion`` and
+    ``concurrence``; ``simulate_protocol`` and ``mutual_information``; and
+    ``estimate_mi_with_errors`` with seed ``_derived_seed(seed, i)``.  Rows
+    are computed as stacked arrays, a block at a time.
     """
-    grid = [float(t) for t in time_grid]
-    if not grid:
-        raise ValueError("time grid must not be empty")
+    grid = np.array([float(t) for t in time_grid])
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
+        raise ValueError(f"time grid must be non-empty, finite and non-negative: {grid}")
+    if n_per_input <= 0:
+        raise ValueError(f"n_per_input must be positive, got {n_per_input}")
+    if trials < 2:
+        raise ValueError(f"trials must be at least 2, got {trials}")
+    if s < 0:
+        raise ValueError(f"s must be non-negative, got {s}")
+    priors = np.asarray(scheme.priors)
+    n = float(n_per_input)
+    block = max(1, _TABLES_PER_BLOCK // trials)
     rows = []
-    for index, t in enumerate(grid):
-        kappa_abs = abs(decoherence_function(spec, t))
-        state = evolve_pre_encoding(spec, t)
-        counts = expected_tomography_counts(state, float(n_per_input))
-        conc = concurrence(reconstruct_linear_inversion(counts, float(n_per_input)))
-        table = simulate_protocol(spec, DephasingTimes(t, t), scheme, noise_order)
-        theory = mutual_information(scheme, table, s)
-        mean, std = estimate_mi_with_errors(
-            table, scheme, n_per_input, trials, _derived_seed(seed, index))
-        rows.append(SweepRow(t, kappa_abs, conc, theory,
-                             max(0.0, mean - s), std, scheme.variant))
+    for start in range(0, grid.size, block):
+        t = grid[start:start + block]
+        kappa = _characteristic_function(spec, spec.delta_n * t, 0.0)
+        # hypot, as Python's abs(complex) in decoherence_function; np.abs can
+        # differ in the last bit.
+        kappa_abs = np.hypot(kappa.real, kappa.imag)
+        # Counts n * p divided by n again, as the scalar route rounds them.
+        counts = n * _tomography_probabilities(_validate_states(_pre_encoding_states(spec, t)))
+        conc = _concurrences(_validate_states(_reconstruct(counts / n)))
+        tables = _checked_probabilities(_born_tables(spec, t, t, scheme, noise_order))
+        theory = np.maximum(0.0, _mi_bits(priors, tables) - s)
+        draws = np.stack([_draw_counts(p, n_per_input, trials, _derived_seed(seed, start + i))
+                          for i, p in enumerate(tables)])
+        mean, std = _bootstrap_stats(priors, draws, n_per_input)
+        rows.extend(SweepRow(*values, scheme.variant) for values in zip(
+            t.tolist(), kappa_abs.tolist(), conc.tolist(), theory.tolist(),
+            np.maximum(0.0, mean - s).tolist(), std.tolist()))
     return rows
 
 

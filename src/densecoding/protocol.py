@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import DephasingTimes, JointSpectrum, dephasing_mask
+from .environment import DephasingTimes, JointSpectrum, _dephasing_masks
 from .states import BellLabel, _xlogy, bell_state, binary_entropy
 
 __all__ = [
@@ -125,12 +125,7 @@ class ConditionalTable:
             raise ValueError(
                 f"probability matrix shape {p.shape} does not match "
                 f"{len(self.inputs)} inputs x {len(self.outputs)} outputs")
-        if np.any(p < -_ROW_SUM_TOL):
-            raise ValueError("conditional probabilities must be non-negative")
-        sums = p.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
-            raise ValueError(f"every row must sum to 1, got sums {sums}")
-        p = np.clip(p, 0.0, None)
+        p = _checked_probabilities(p)
         p.setflags(write=False)
         object.__setattr__(self, "p_y_given_x", p)
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -165,6 +160,16 @@ class ConditionalTable:
             entries[x, y] = p
         mat = np.array([[entries[x, y] for y in outputs] for x in inputs])
         return cls(tuple(inputs), tuple(outputs), mat)
+
+
+def _checked_probabilities(p: np.ndarray) -> np.ndarray:
+    """Check p(y|x) tables shaped (..., inputs, outcomes); return them clipped at 0."""
+    if np.any(p < -_ROW_SUM_TOL):
+        raise ValueError("conditional probabilities must be non-negative")
+    sums = p.sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
+        raise ValueError(f"every row must sum to 1, got sums {sums}")
+    return np.clip(p, 0.0, None)
 
 
 def effective_visibility(kappa_abs: float, k: float) -> float:
@@ -214,14 +219,19 @@ def mutual_information(scheme: EncodingScheme, table: ConditionalTable,
         raise ValueError(f"s must be non-negative, got {s}")
     if table.inputs != scheme.alphabet:
         raise ValueError("table inputs do not match the scheme alphabet")
-    p1 = np.asarray(scheme.priors)
-    p = table.p_y_given_x
-    p2 = p1 @ p
-    weights = p1[:, None] * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log2(np.where(p > 0, p, 1.0)) - np.log2(np.where(p2 > 0, p2, 1.0))[None, :]
-    value = float(np.where(weights > 0, weights * logs, 0.0).sum())
+    value = float(_mi_bits(np.asarray(scheme.priors), table.p_y_given_x))
     return max(0.0, value - s)
+
+
+def _mi_bits(priors: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mutual information in bits, without offset or clamp, of p(y|x) tables shaped
+    (..., inputs, outcomes); a table's value does not depend on the stack around it."""
+    p2 = priors @ p
+    weights = priors[:, None] * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = (np.log2(np.where(p > 0, p, 1.0))
+                - np.log2(np.where(p2 > 0, p2, 1.0))[..., None, :])
+    return np.where(weights > 0, weights * logs, 0.0).sum(axis=(-2, -1))
 
 
 def capacity_pre_encoding(kappa_abs: float) -> float:
@@ -337,9 +347,17 @@ def simulate_protocol(spec: JointSpectrum, times: DephasingTimes,
     pre-encoding frame.  Rows are Born-rule probabilities, independent of
     the closed-form visibility expressions.
     """
+    probs = _born_tables(spec, times.t_a, times.t_b, scheme, noise_order)
+    return ConditionalTable(scheme.alphabet, BELL_OUTPUT_ORDER, probs)
+
+
+def _born_tables(spec: JointSpectrum, t_a, t_b, scheme: EncodingScheme,
+                 noise_order: NoiseOrder) -> np.ndarray:
+    """Unchecked :func:`simulate_protocol` tables for arrays of checked durations."""
     before = noise_order is NoiseOrder.NOISE_BEFORE_ENCODING
     flips = [before and x in _PSI_SECTOR for x in scheme.alphabet]
-    masks = {flip: dephasing_mask(spec, times, flip_sender=flip) for flip in set(flips)}
-    states = np.array([bell_state(x) * masks[flip] for x, flip in zip(scheme.alphabet, flips)])
-    probs = np.einsum("yji,xij->xy", _PROJECTORS, states).real
-    return ConditionalTable(scheme.alphabet, BELL_OUTPUT_ORDER, np.clip(probs, 0.0, None))
+    masks = {flip: _dephasing_masks(spec, t_a, t_b, flip_sender=flip) for flip in set(flips)}
+    states = np.stack([bell_state(x) * masks[flip] for x, flip in zip(scheme.alphabet, flips)],
+                      axis=-3)
+    probs = np.einsum("yji,...xij->...xy", _PROJECTORS, states).real
+    return np.clip(probs, 0.0, None)

@@ -107,12 +107,17 @@ def validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarr
         raise InvariantViolation(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvariantViolation(f"expected a {dim}x{dim} matrix, got {rho.shape}")
+    return _validate_states(rho)
+
+
+def _validate_states(rho: np.ndarray) -> np.ndarray:
+    """The checks of :func:`validate_density_matrix` on a stack (..., n, n) at once."""
     if not np.all(np.isfinite(rho.view(float))):
         raise InvariantViolation("density matrix has non-finite entries")
-    herm_err = np.max(np.abs(rho - rho.conj().T))
+    herm_err = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
     if herm_err > _HERMITICITY_TOL:
         raise InvariantViolation(f"matrix not Hermitian: max asymmetry {herm_err:.3e}")
-    trace_err = abs(rho.trace() - 1.0)
+    trace_err = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
     if trace_err > _TRACE_TOL:
         raise InvariantViolation(f"trace differs from 1 by {trace_err:.3e}")
     lo = float(np.linalg.eigvalsh(rho).min())
@@ -178,7 +183,7 @@ _Y_OTIMES_Y = np.kron(_PAULI_MATRICES[PauliLabel.Y], _PAULI_MATRICES[PauliLabel.
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Matrix square root of a unit-trace PSD matrix.
+    """Matrix square root of unit-trace PSD matrices, shape (..., n, n).
 
     Eigenvalues below 1e-14 are truncated to exactly zero first; otherwise
     eigensolver noise of order 1e-16 turns into 1e-8 after the square root
@@ -186,7 +191,7 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """
     vals, vecs = np.linalg.eigh(rho)
     vals = np.where(vals < 1e-14, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -197,10 +202,14 @@ def concurrence(rho: np.ndarray) -> float:
     the singular values of sqrt(flipped) sqrt(rho), which an SVD resolves
     at machine precision where a root of eigenvalues would not.
     """
-    rho = validate_density_matrix(rho, dim=4)
+    return float(_concurrences(validate_density_matrix(rho, dim=4)))
+
+
+def _concurrences(rho: np.ndarray) -> np.ndarray:
+    """:func:`concurrence` of a stack (..., 4, 4) of already validated states."""
     spin_flipped = _Y_OTIMES_Y @ rho.conj() @ _Y_OTIMES_Y
     lams = np.linalg.svd(_psd_sqrt(spin_flipped) @ _psd_sqrt(rho), compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    return np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
 
 
 def dense_coding_capacity(rho: np.ndarray) -> float:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densecoding import (
     BellLabel,
+    ConditionalTable,
     DephasingTimes,
     EncodingScheme,
     JointSpectrum,
@@ -17,6 +19,7 @@ from densecoding import (
     closed_form_mi4,
     concurrence,
     conditional_probabilities,
+    decoherence_function,
     estimate_mi_with_errors,
     evolve_pre_encoding,
     expected_tomography_counts,
@@ -31,7 +34,8 @@ from densecoding import (
     sweep_rows_to_csv,
     tomography_counts,
 )
-from densecoding.experiment import TOMOGRAPHY_SETTINGS
+from densecoding import experiment
+from densecoding.experiment import TOMOGRAPHY_SETTINGS, _derived_seed, _draw_counts
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -74,6 +78,17 @@ class TestSampleCounts:
         p_hat = counts.counts[0, 0] / n
         bound = 3.0 * math.sqrt(0.1875 / n)  # 3 binomial standard errors at p=0.75
         assert abs(p_hat - 0.75) < bound
+
+    def test_bootstrap_trial_zero_is_sample_counts(self):
+        table = conditional_probabilities(THREE, 0.4)
+        draws = _draw_counts(table.p_y_given_x, 1000, 30, 8)
+        np.testing.assert_array_equal(draws[0], sample_counts(table, 1000, 8).counts)
+        # reference: the plug-in MI of each trial's table, one table at a time
+        values = np.array([
+            mutual_information(THREE, ConditionalTable(table.inputs, table.outputs, c / 1000))
+            for c in draws])
+        assert estimate_mi_with_errors(table, THREE, 1000, 30, 8) == (
+            values.mean(), values.std(ddof=1))
 
 
 class TestEstimateMi:
@@ -273,6 +288,89 @@ class TestRunSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(JointSpectrum(), [], THREE, 100, 10, 0)
+
+    @pytest.mark.parametrize("grid, n, trials, s", [
+        ([0.5, -0.1], 100, 10, 0.0),
+        ([0.5, math.nan], 100, 10, 0.0),
+        ([0.5], 0, 10, 0.0),
+        ([0.5], 100, 1, 0.0),
+        ([0.5], 100, 10, -0.01),
+    ])
+    def test_bad_arguments_rejected(self, grid, n, trials, s):
+        with pytest.raises(ValueError):
+            run_sweep(JointSpectrum(), grid, THREE, n, trials, 0, s=s)
+
+
+class TestBatchedSweep:
+    """Every row of the stacked sweep against the scalar route at its t."""
+
+    @given(st.floats(0.2, 2.5), st.floats(0.2, 2.5), st.floats(-1.0, 1.0),
+           st.floats(-2.0, 2.0), st.floats(-3.0, 5.0),
+           st.lists(st.floats(0.0, 2.5), min_size=1, max_size=5),
+           st.sampled_from([THREE, FOUR]), st.sampled_from(list(NoiseOrder)),
+           st.integers(0, 2**31 - 1), st.floats(0.0, 0.2))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_scalar_route(self, c_aa, c_bb, k, delta_n, omega0, grid,
+                                     scheme, order, seed, s):
+        spec = JointSpectrum(omega0=omega0, c_aa=c_aa, c_bb=c_bb, k=k, delta_n=delta_n)
+        n, trials = 500, 7
+        rows = run_sweep(spec, grid, scheme, n, trials, seed, s, order)
+        assert len(rows) == len(grid)
+        for i, (row, t) in enumerate(zip(rows, grid)):
+            counts = expected_tomography_counts(evolve_pre_encoding(spec, t), float(n))
+            conc = concurrence(reconstruct_linear_inversion(counts, float(n)))
+            table = simulate_protocol(spec, DephasingTimes(t, t), scheme, order)
+            mean, std = estimate_mi_with_errors(table, scheme, n, trials,
+                                                _derived_seed(seed, i))
+            assert row.t_a == t
+            assert row.kappa_abs == pytest.approx(abs(decoherence_function(spec, t)), abs=1e-12)
+            assert row.concurrence == pytest.approx(conc, abs=1e-12)
+            assert row.mi_theory == pytest.approx(mutual_information(scheme, table, s),
+                                                  abs=1e-12)
+            assert row.mi_mc_mean == max(0.0, mean - s)
+            assert row.mi_mc_std == std
+
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 200])
+    def test_prefix_of_grid_gives_prefix_of_rows(self, m):
+        # two trials put 128 rows in a block
+        spec = JointSpectrum(c_bb=2.0, k=-0.5)
+        grid = np.linspace(0.0, 2.0, 300)
+        full = run_sweep(spec, grid, FOUR, 1000, 2, 5)
+        assert run_sweep(spec, grid[:m], FOUR, 1000, 2, 5) == full[:m]
+
+    def test_bytes_do_not_depend_on_block_size(self, monkeypatch):
+        spec = JointSpectrum(k=-0.5)
+        grid = np.linspace(0.0, 2.0, 41)
+        outputs = set()
+        for tables in (1, 14, 256, 10**6):
+            monkeypatch.setattr(experiment, "_TABLES_PER_BLOCK", tables)
+            outputs.add(sweep_rows_to_csv(run_sweep(spec, grid, THREE, 1000, 3, 9)))
+        assert len(outputs) == 1
+
+
+class TestFitValley:
+    def test_refinement_follows_the_k_s_valley(self):
+        # Points drawn as bench/inputs.py draws the analysis workload's fit
+        # input, from default_rng([2, 45]).  The optimum lies along the k-s
+        # valley outside the first refinement window around the coarse
+        # optimum; a search kept inside that window stops at RSS 0.02501.
+        rng = np.random.default_rng([2, 45])
+        for _ in range(2):  # the draws made for the workload's show and mc inputs
+            rng.uniform(-0.9, 0.5), rng.uniform(0.0, 0.1), rng.integers(0, 2**31 - 1)
+            rng.uniform(0.1, 3.0)
+        k_true, s_true = rng.uniform(-0.9, -0.2), rng.uniform(0.02, 0.1)
+        t = np.sort(rng.uniform(0.05, 2.2, 1000))
+        kappas = np.array([abs(decoherence_function(JointSpectrum(), x)) for x in t])
+        clean = np.array([closed_form_mi4(x, k_true, s_true) for x in kappas])
+        mis = clean + rng.normal(0.0, 0.005, t.size)
+
+        def rss(k, s):
+            model = np.array([closed_form_mi4(x, k, s) for x in kappas])
+            return float(((model - mis) ** 2).sum())
+
+        fit = fit_k_s(zip(kappas, mis), SchemeVariant.FOUR_STATE)
+        assert fit.residual_sum_squares == pytest.approx(rss(fit.k_hat, fit.s_hat), rel=1e-9)
+        assert fit.residual_sum_squares <= rss(k_true, s_true)
 
 
 class TestFitOnMonteCarloData:

@@ -24,6 +24,7 @@ from densecoding import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from densecoding.states import _validate_states
 
 BELLS = list(BellLabel)
 PAULIS = list(PauliLabel)
@@ -228,6 +229,17 @@ class TestValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvariantViolation):
             validate_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+    @pytest.mark.parametrize("bad", [
+        np.eye(4) / 4 + 0.1 * np.eye(4, k=1),
+        np.diag([0.6, -0.1, 0.25, 0.25]),
+    ], ids=["non_hermitian", "negative"])
+    def test_stack_with_one_bad_state_rejected(self, bad):
+        stack = np.array([bell_state(label) for label in BellLabel] * 3)
+        _validate_states(stack)
+        stack[7] = bad
+        with pytest.raises(InvariantViolation):
+            _validate_states(stack)
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
