@@ -118,9 +118,11 @@ def _draw_counts(p: np.ndarray, n_per_input: int, trials: int, seed: int) -> np.
 def _bootstrap_stats(priors: np.ndarray, counts: np.ndarray,
                      n_per_input: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample std over trials of the clamped, offset-free plug-in MI of
-    count tables shaped (..., trials, inputs, outcomes)."""
+    count tables (..., trials, inputs, outcomes); equal values give that value and 0."""
     values = np.maximum(0.0, _mi_bits(priors, counts / n_per_input))
-    return values.mean(axis=-1), values.std(axis=-1, ddof=1)
+    constant = np.all(values == values[..., :1], axis=-1)
+    return (np.where(constant, values[..., 0], values.mean(axis=-1)),
+            np.where(constant, 0.0, values.std(axis=-1, ddof=1)))
 
 
 def estimate_mi_with_errors(table: ConditionalTable, scheme: EncodingScheme,
@@ -142,17 +144,18 @@ def estimate_mi_with_errors(table: ConditionalTable, scheme: EncodingScheme,
     return float(mean), float(std)
 
 
-# Entries of the (points, k, s) residual array held at once: the coarse grid
-# takes one point at a time, a 21 x 21 refinement window a few hundred.
+# Entries of the (points, k, s) residual array held at once: a 21 x 21
+# refinement window takes a few hundred points at a time.
 _RSS_CELLS = 1 << 17
+# k rows of the coarse profile per pass, so its temporaries stay near 100 KB.
+_PROFILE_ROWS = 16
 # Moves of a refinement window along a valley before it stops regardless.
 _MAX_WINDOW_MOVES = 100
 
 
-def _rss_surface(kappas: np.ndarray, mis: np.ndarray, variant: SchemeVariant,
+def _rss_surface(kappas: np.ndarray, mis: np.ndarray, model,
                  k_grid: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
     """Residual sum of squares of the closed-form model over a (k, s) grid."""
-    model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
     chunk = max(1, _RSS_CELLS // (k_grid.size * s_grid.size))
     rss = np.zeros((k_grid.size, s_grid.size))
     for lo in range(0, kappas.size, chunk):
@@ -164,20 +167,54 @@ def _rss_surface(kappas: np.ndarray, mis: np.ndarray, variant: SchemeVariant,
     return rss
 
 
+def _rss_profile(kappas: np.ndarray, mis: np.ndarray, model,
+                 k_grid: np.ndarray, s_grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """RSS over a (k, s) grid, and the largest k row's sum(d^2) + sum(m^2).
+
+    For fixed k, RSS(s) sums (f - s - m)^2 over f > s and m^2 over the rest,
+    so with f sorted, running sums of d^2, d (d = f - m) and m^2 give every
+    s by one searchsorted."""
+    profile = np.empty((k_grid.size, s_grid.size))
+    scale = 0.0
+    for lo in range(0, k_grid.size, _PROFILE_ROWS):
+        f = model(kappas ** (2.0 + 2.0 * k_grid[lo:lo + _PROFILE_ROWS, None]))
+        order = np.argsort(f, axis=1)
+        f, m = np.take_along_axis(f, order, axis=1), mis[order]
+        sums = np.pad(np.cumsum([(f - m) ** 2, f - m, m * m], axis=-1), ((0, 0), (0, 0), (1, 0)))
+        # side="right": max(f - s, 0) puts f == s with the points below s.
+        j = np.stack([np.searchsorted(row, s_grid, side="right") for row in f])
+        d2_below, d_below, m2_below = np.take_along_axis(sums, j[None], axis=-1)
+        d2_total, d_total, m2_total = sums[..., -1:]
+        profile[lo:lo + f.shape[0]] = (d2_total - d2_below - 2.0 * s_grid * (d_total - d_below)
+                                       + s_grid * s_grid * (kappas.size - j) + m2_below)
+        scale = max(scale, float(np.max(d2_total + m2_total)))
+    return profile, scale
+
+
+def _coarse_surface(kappas: np.ndarray, mis: np.ndarray, model,
+                    k_grid: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
+    """RSS over a (k, s) grid: exact on the cells the profile puts near its
+    minimum, +inf elsewhere, so ties break as on the fully evaluated grid."""
+    surface, scale = _rss_profile(kappas, mis, model, k_grid, s_grid)
+    near = surface <= surface.min() + 1e-9 * (1.0 + scale)
+    rows, cols = (slice(i.min(), i.max() + 1) for i in np.nonzero(near))
+    exact = _rss_surface(kappas, mis, model, k_grid[rows], s_grid[cols])
+    surface.fill(np.inf)
+    surface[rows, cols] = np.where(near[rows, cols], exact, np.inf)
+    return surface
+
+
 def _pick_minimum(rss: np.ndarray, k_grid: np.ndarray, s_grid: np.ndarray,
                   ) -> tuple[float, float, float]:
     """Grid point of least RSS; ties go to smaller |k|, then smaller s."""
     best = rss.min()
     ii, jj = np.nonzero(rss == best)
-    order = np.lexsort((s_grid[jj], np.abs(k_grid[ii])))
-    pick = order[0]
+    pick = np.lexsort((s_grid[jj], np.abs(k_grid[ii])))[0]
     return float(k_grid[ii[pick]]), float(s_grid[jj[pick]]), float(best)
 
 
 def _centered_grid(center: float, step: float, lo: float, hi: float) -> np.ndarray:
-    grid = center + step * np.arange(-10, 11)
-    grid = np.clip(grid, lo, hi)
-    return np.unique(grid)
+    return np.unique(np.clip(center + step * np.arange(-10, 11), lo, hi))
 
 
 def _on_inner_edge(value: float, grid: np.ndarray, lo: float, hi: float) -> bool:
@@ -188,27 +225,30 @@ def _on_inner_edge(value: float, grid: np.ndarray, lo: float, hi: float) -> bool
 def fit_k_s(points, variant: SchemeVariant) -> FitResult:
     """Bounded least-squares fit of (k, s) to measured (kappa_abs, mi) pairs.
 
-    Deterministic derivative-free search: a coarse grid with steps
-    (0.01 in k, 0.001 in s) followed by two refinement levels that each
+    Deterministic derivative-free search.  The coarse grid, with steps
+    0.01 in k and 0.001 in s, is searched through an exact sorted profile
+    per k (see ``_coarse_surface``); two refinement levels follow that each
     shrink the steps tenfold.  A level searches a 21 x 21 window around the
     current optimum and re-centres it while the optimum lies on an edge of
     the window that is not a bound (k in [-1, 1], s >= 0), so it follows
     the diagonal valley along which k and s trade off.  Ties are broken
     toward smaller |k|, then smaller s.
     """
-    pts = [(float(k), float(m)) for k, m in points]
+    pts = np.array([(float(k), float(m)) for k, m in points]).reshape(-1, 2)
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points to fit, got {len(pts)}")
-    kappas = np.array([p[0] for p in pts])
-    mis = np.array([p[1] for p in pts])
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("kappa_abs and mi values must be finite")
+    kappas, mis = pts.T
     if np.any(kappas <= 0.0) or np.any(kappas > 1.0):
         raise ValueError("kappa_abs values must lie in (0, 1]")
+    model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
 
     k_step, s_step = 0.01, 0.001
     k_grid = np.arange(-1.0, 1.0 + k_step / 2, k_step)
     s_grid = np.arange(0.0, 1.0 + s_step / 2, s_step)
     k_hat, s_hat, rss = _pick_minimum(
-        _rss_surface(kappas, mis, variant, k_grid, s_grid), k_grid, s_grid)
+        _coarse_surface(kappas, mis, model, k_grid, s_grid), k_grid, s_grid)
 
     for _ in range(2):
         k_step, s_step = k_step / 10, s_step / 10
@@ -216,12 +256,12 @@ def fit_k_s(points, variant: SchemeVariant) -> FitResult:
             k_grid = _centered_grid(k_hat, k_step, -1.0, 1.0)
             s_grid = _centered_grid(s_hat, s_step, 0.0, math.inf)
             k_hat, s_hat, rss = _pick_minimum(
-                _rss_surface(kappas, mis, variant, k_grid, s_grid), k_grid, s_grid)
+                _rss_surface(kappas, mis, model, k_grid, s_grid), k_grid, s_grid)
             if not (_on_inner_edge(k_hat, k_grid, -1.0, 1.0)
                     or _on_inner_edge(s_hat, s_grid, 0.0, math.inf)):
                 break
 
-    return FitResult(k_hat, s_hat, rss, len(pts))
+    return FitResult(k_hat, s_hat, rss, kappas.size)
 
 
 # --- linear-inversion tomography -------------------------------------------

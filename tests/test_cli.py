@@ -100,6 +100,12 @@ class TestMc:
         assert std > 0.0
         assert abs(mean - theory) < 0.05
 
+    def test_noiseless_default_has_exact_mean_and_zero_std(self, capsys):
+        code, stdout, _ = run_cli(["mc"], capsys)
+        assert code == 0
+        assert stdout.splitlines()[1] == (
+            "0.1353352832366127,1.5849625007211561,1.5849625007211561,0")
+
     def test_defaults_to_last_grid_point(self, capsys):
         code, stdout, _ = run_cli(
             ["mc", "--t-list", "0.0,1.0", "--n-per-input", "500", "--trials", "20"],
@@ -202,6 +208,15 @@ class TestFit:
             ["fit", "--in", str(tmp_path / "nope.csv")], capsys)
         assert code == 1
         assert "error:" in stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_mi(self, value, tmp_path, capsys):
+        data = tmp_path / "points.csv"
+        data.write_text(f"kappa_abs,mi\n0.5,{value}\n0.4,0.3\n")
+        code, stdout, stderr = run_cli(["fit", "--in", str(data)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "finite" in stderr
 
     def test_malformed_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

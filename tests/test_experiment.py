@@ -20,6 +20,7 @@ from densecoding import (
     concurrence,
     conditional_probabilities,
     decoherence_function,
+    effective_visibility,
     estimate_mi_with_errors,
     evolve_pre_encoding,
     expected_tomography_counts,
@@ -35,7 +36,15 @@ from densecoding import (
     tomography_counts,
 )
 from densecoding import experiment
-from densecoding.experiment import TOMOGRAPHY_SETTINGS, _derived_seed, _draw_counts
+from densecoding.config import build_config
+from densecoding.experiment import (
+    TOMOGRAPHY_SETTINGS,
+    _derived_seed,
+    _draw_counts,
+    _rss_profile,
+    _rss_surface,
+)
+from densecoding.protocol import _mi3_from_x, _mi4_from_x
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -123,6 +132,17 @@ class TestEstimateMi:
         with pytest.raises(ValueError):
             estimate_mi_with_errors(table, THREE, 100, 1, 0)
 
+    def test_equal_trials_give_their_value_and_zero_std(self):
+        # The default configuration (k = -1, THREE_STATE) is noiseless: every
+        # trial draws the same count table.  A plain mean of the 1000 equal
+        # values gives 1.5849625007211556 and a std of 4.4e-16.
+        cfg = build_config([])
+        assert (cfg.spectrum.k, cfg.scheme) == (-1.0, THREE)
+        table = conditional_probabilities(THREE, effective_visibility(0.5, -1.0))
+        mean, std = estimate_mi_with_errors(table, THREE, cfg.n_per_input, cfg.trials, cfg.seed)
+        assert mean == mutual_information(THREE, table) == 1.5849625007211561
+        assert std == 0.0
+
 
 class TestFit:
     def test_three_state_noiseless_recovery(self):
@@ -157,6 +177,11 @@ class TestFit:
             fit_k_s([(0.0, 1.0), (0.5, 1.2)], SchemeVariant.THREE_STATE)
         with pytest.raises(ValueError):
             fit_k_s([(0.5, 1.0), (1.5, 1.2)], SchemeVariant.THREE_STATE)
+
+    @pytest.mark.parametrize("bad", [(0.5, math.nan), (0.5, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            fit_k_s([bad, (0.4, 0.3)], SchemeVariant.FOUR_STATE)
 
     def test_csv_format(self):
         pts = [(k, math.log2(3.0)) for k in (0.2, 0.8)]
@@ -371,6 +396,76 @@ class TestFitValley:
         fit = fit_k_s(zip(kappas, mis), SchemeVariant.FOUR_STATE)
         assert fit.residual_sum_squares == pytest.approx(rss(fit.k_hat, fit.s_hat), rel=1e-9)
         assert fit.residual_sum_squares <= rss(k_true, s_true)
+
+
+COARSE_K = np.arange(-1.0, 1.005, 0.01)
+COARSE_S = np.arange(0.0, 1.0005, 0.001)
+
+
+def _seeded_fit_points(seed, variant):
+    """1000 noisy points of the closed-form curve at a seeded (k, s)."""
+    rng = np.random.default_rng([6, seed])
+    k_true, s_true = rng.uniform(-0.9, -0.2), rng.uniform(0.02, 0.1)
+    t = np.sort(rng.uniform(0.05, 2.2, 1000))
+    kappas = [abs(decoherence_function(JointSpectrum(), x)) for x in t]
+    closed = closed_form_mi3 if variant is SchemeVariant.THREE_STATE else closed_form_mi4
+    mis = np.array([closed(x, k_true, s_true) for x in kappas]) + rng.normal(0.0, 0.005, t.size)
+    return list(zip(kappas, mis.tolist()))
+
+
+class TestRssProfile:
+    @given(st.sampled_from(list(SchemeVariant)), st.integers(2, 500),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_equals_direct_surface_on_the_coarse_grid(self, variant, n, seed):
+        rng = np.random.default_rng(seed)
+        model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
+        kappas = 1.0 - rng.uniform(0.0, 1.0, n)
+        # Tiny kappas put the four-state model exactly on s = 1 for most k.
+        kappas[rng.random(n) < 0.1] = 1e-9
+        mis = rng.uniform(0.0, 2.0, n)
+        f = model(kappas ** (2.0 + 2.0 * COARSE_K[rng.integers(COARSE_K.size)]))
+        exact = rng.random(n) < 0.3
+        mis[exact] = f[exact]
+        # Model values added to the s grid, so some f lie exactly on a cell.
+        s_grid = np.union1d(COARSE_S, f[(f <= 1.0) & exact])
+        profile, scale = _rss_profile(kappas, mis, model, COARSE_K, s_grid)
+        direct = _rss_surface(kappas, mis, model, COARSE_K, s_grid)
+        np.testing.assert_allclose(profile, direct, rtol=0.0, atol=1e-9)
+        assert scale >= direct[:, 0].max()
+
+    def test_exact_ties_break_as_on_the_full_grid(self, monkeypatch):
+        # MI = 0 everywhere: every cell with s at or above the largest model
+        # value has RSS exactly 0, on many k rows.
+        kappas = np.linspace(0.05, 0.3, 12)
+        mis = np.zeros(kappas.size)
+        profile, _ = _rss_profile(kappas, mis, _mi3_from_x, COARSE_K, COARSE_S)
+        zeros = np.nonzero(profile == 0.0)
+        assert np.unique(zeros[0]).size > 10 and np.unique(zeros[1]).size > 10
+        # Golden values, from a search that evaluated the whole coarse grid.
+        expected = experiment.FitResult(8.881784197001252e-16, 0.9222, 0.0, 12)
+        assert fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE) == expected
+
+        # The profile only nominates cells: rounding it differently, here by
+        # up to 1e-12, must not move the fit.
+        def perturbed(*args):
+            profile, scale = _rss_profile(*args)
+            noise = np.random.default_rng(0).uniform(-1e-12, 1e-12, profile.shape)
+            return profile + noise, scale
+
+        monkeypatch.setattr(experiment, "_rss_profile", perturbed)
+        assert fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE) == expected
+
+    @pytest.mark.parametrize("seed,variant,expected", [
+        (0, SchemeVariant.FOUR_STATE, (-0.5237999999999996, 0.04731, 0.025879182672130612)),
+        (1, SchemeVariant.FOUR_STATE, (-0.5015999999999996, 0.07026, 0.026407906975492675)),
+        (2, SchemeVariant.THREE_STATE, (-0.2086999999999993, 0.02744, 0.026025829155892567)),
+        (3, SchemeVariant.THREE_STATE, (-0.4931999999999995, 0.03986, 0.025823283331395632)),
+    ])
+    def test_fit_matches_the_full_grid_search(self, seed, variant, expected):
+        # Golden values, from a search that evaluated the whole coarse grid.
+        fit = fit_k_s(_seeded_fit_points(seed, variant), variant)
+        assert fit == experiment.FitResult(*expected, 1000)
 
 
 class TestFitOnMonteCarloData:
