@@ -13,6 +13,11 @@ import io
 import sys
 from pathlib import Path
 
+if __name__ == "__main__":  # ``python -m densecoding.cli``; before numpy loads below
+    from . import _use_one_blas_thread
+
+    _use_one_blas_thread()
+
 from .config import CONFIG_DEFAULTS, ConfigError, RunConfig, build_config, tokenize_config
 from .environment import DephasingTimes, decoherence_function
 from .experiment import (

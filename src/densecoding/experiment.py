@@ -226,8 +226,10 @@ def fit_k_s(points, variant: SchemeVariant) -> FitResult:
     """Bounded least-squares fit of (k, s) to measured (kappa_abs, mi) pairs.
 
     Deterministic derivative-free search.  The coarse grid, with steps
-    0.01 in k and 0.001 in s, is searched through an exact sorted profile
-    per k (see ``_coarse_surface``); two refinement levels follow that each
+    0.01 in k and 0.001 in s over s in [0, 1], is searched through an exact
+    sorted profile per k (see ``_coarse_surface``).  When its optimum lies
+    on the s = 1 edge, the search is repeated with s up to the largest
+    model value (log2 3 or 2 bits).  Two refinement levels follow that each
     shrink the steps tenfold.  A level searches a 21 x 21 window around the
     current optimum and re-centres it while the optimum lies on an edge of
     the window that is not a bound (k in [-1, 1], s >= 0), so it follows
@@ -249,6 +251,12 @@ def fit_k_s(points, variant: SchemeVariant) -> FitResult:
     s_grid = np.arange(0.0, 1.0 + s_step / 2, s_step)
     k_hat, s_hat, rss = _pick_minimum(
         _coarse_surface(kappas, mis, model, k_grid, s_grid), k_grid, s_grid)
+    if s_hat == s_grid[-1]:
+        # Past the largest model value, model(1) at k = -1, the RSS no
+        # longer depends on s, so the widened grid covers every s that counts.
+        s_grid = np.arange(0.0, float(model(1.0)) + s_step, s_step)
+        k_hat, s_hat, rss = _pick_minimum(
+            _coarse_surface(kappas, mis, model, k_grid, s_grid), k_grid, s_grid)
 
     for _ in range(2):
         k_step, s_step = k_step / 10, s_step / 10

@@ -397,6 +397,23 @@ class TestFitValley:
         assert fit.residual_sum_squares == pytest.approx(rss(fit.k_hat, fit.s_hat), rel=1e-9)
         assert fit.residual_sum_squares <= rss(k_true, s_true)
 
+    @pytest.mark.parametrize("variant", list(SchemeVariant))
+    def test_reaches_offsets_above_one_bit(self, variant):
+        # MI = 0 is fitted exactly only with s at or above every model value,
+        # 1.14 or more here; the coarse s grid ends at 1.
+        fit = fit_k_s([(x, 0.0) for x in (0.5, 0.6, 0.7, 0.8, 0.9)], variant)
+        assert fit.residual_sum_squares <= 1e-12
+        assert fit.s_hat >= 1.14
+
+    def test_reaches_offsets_above_the_k_equal_one_curve(self):
+        # The model values at k = 1 stay below 1.15 on these points, so the
+        # optimum (-0.9, 1.45) needs s searched up to log2(3).
+        kappas = np.linspace(0.3, 0.9, 40)
+        mis = [closed_form_mi3(x, -0.9, 1.45) for x in kappas]
+        fit = fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE)
+        assert fit.residual_sum_squares <= 1e-12
+        assert (fit.k_hat, fit.s_hat) == pytest.approx((-0.9, 1.45), abs=1e-3)
+
 
 COARSE_K = np.arange(-1.0, 1.005, 0.01)
 COARSE_S = np.arange(0.0, 1.0005, 0.001)

@@ -1,0 +1,144 @@
+"""The lazy package namespace, the command line's BLAS thread default and
+the demos, each checked in fresh interpreters where import order matters."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import densecoding
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(densecoding.__file__).resolve().parents[1]
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SUBMODULES = ("cli", "config", "environment", "experiment", "protocol", "states")
+
+PUBLIC_NAMES = [
+    "BASIS_LABELS", "BELL_FOR_PAULI", "BELL_OUTPUT_ORDER", "BellLabel",
+    "ConditionalTable", "ConfigError", "CountTable", "DephasingTimes",
+    "EncodingScheme", "FitResult", "InvariantViolation", "JointSpectrum",
+    "NoiseOrder", "PAULI_FOR_BELL", "Party", "PauliLabel", "RunConfig",
+    "SECTOR_PARTNER", "SchemeVariant", "SweepRow", "apply_pauli", "bell_state",
+    "binary_entropy", "capacity_bob_noise", "capacity_from_non_markovianity",
+    "capacity_pre_encoding", "closed_form_applies", "closed_form_mi",
+    "closed_form_mi3", "closed_form_mi4", "concurrence",
+    "conditional_probabilities", "decoherence_function", "default_config",
+    "dense_coding_capacity", "dephasing_mask", "density_matrix_from_text",
+    "density_matrix_to_text", "effective_visibility", "estimate_mi_with_errors",
+    "evolve_pre_encoding", "expected_tomography_counts", "fidelity", "fit_k_s",
+    "fit_result_to_csv", "joint_dephasing_factor", "mutual_information",
+    "non_markovianity", "parse_config", "partial_trace",
+    "reconstruct_linear_inversion", "run_sweep", "sample_counts",
+    "simulate_protocol", "sweep_rows_to_csv", "tomography_counts",
+    "validate_density_matrix", "von_neumann_entropy",
+]
+
+
+def run_python(*args, **env_changes):
+    """Run a fresh interpreter that finds the package; its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(env_changes)
+    proc = subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self):
+        out = run_python("-c", "import sys, densecoding; print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] in ('numpy', 'densecoding')))")
+        assert out.split() == ["['densecoding']"]
+
+    def test_public_names_are_unchanged(self):
+        # The same 58 names as the eager package's list, now in sorted order.
+        assert len(set(PUBLIC_NAMES)) == 58
+        assert densecoding.__all__ == sorted(PUBLIC_NAMES)
+
+    def test_each_name_is_its_submodules_object(self):
+        modules = [importlib.import_module(f"densecoding.{m}") for m in SUBMODULES]
+        for name in PUBLIC_NAMES:
+            owners = [m for m in modules if name in getattr(m, "__all__", ())]
+            assert len(owners) == 1, name
+            assert getattr(densecoding, name) is getattr(owners[0], name)
+            assert name in dir(densecoding)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from densecoding import *", namespace)
+        assert set(PUBLIC_NAMES) <= set(namespace)
+        assert all(namespace[name] is getattr(densecoding, name) for name in PUBLIC_NAMES)
+
+    def test_submodules_resolve_after_a_bare_import(self):
+        out = run_python("-c", "import densecoding\n"
+                         f"for m in {SUBMODULES!r}: print(getattr(densecoding, m).__name__)")
+        assert out.split() == [f"densecoding.{m}" for m in SUBMODULES]
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            densecoding.no_such_name
+        with pytest.raises(ImportError):
+            exec("from densecoding import no_such_name", {})
+
+
+# Records the thread variables at the moment numpy is first imported, runs
+# the route under test, then prints them and the environment after it.
+THREAD_PROBE = """
+import importlib.abc, json, os, sys
+names = {names!r}
+at_numpy = []
+
+class Spy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy:
+            at_numpy.append({{v: os.environ.get(v) for v in names}})
+        return None
+
+sys.meta_path.insert(0, Spy())
+sys.argv = ["densecoding", "show"]
+{route}
+print(json.dumps([at_numpy[0], {{v: os.environ.get(v) for v in names}}]))
+"""
+
+ROUTES = {
+    "python -m": ("import runpy\n"
+                  "try:\n"
+                  "    runpy.run_module('densecoding.cli', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    assert exc.code == 0, exc.code"),
+    "script": "import densecoding\nassert densecoding.main() == 0",
+}
+
+
+def thread_settings(route, **env_changes):
+    code = THREAD_PROBE.format(names=THREAD_VARIABLES, route=route)
+    at_numpy, after = json.loads(run_python("-c", code, **env_changes).splitlines()[-1])
+    assert at_numpy == after  # set before numpy loads BLAS, and not after
+    return after
+
+
+class TestBlasThreadDefault:
+    @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+    def test_unset_variables_default_to_one(self, route):
+        assert thread_settings(route) == dict.fromkeys(THREAD_VARIABLES, "1")
+
+    @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+    def test_a_users_setting_is_kept(self, route):
+        settings = thread_settings(route, OPENBLAS_NUM_THREADS="4")
+        assert settings == {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+                            "MKL_NUM_THREADS": "1"}
+
+    def test_library_import_leaves_the_environment_alone(self):
+        out = run_python("-c", "import os, densecoding, densecoding.cli, numpy\n"
+                         f"print([os.environ.get(v) for v in {THREAD_VARIABLES!r}])")
+        assert out.strip() == "[None, None, None]"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    run_python(str(ROOT / "demos" / demo))
