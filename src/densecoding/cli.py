@@ -40,13 +40,16 @@ from .states import concurrence, density_matrix_to_text
 __all__ = ["main"]
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH", help="run configuration file")
-    sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+def _common_flags() -> argparse.ArgumentParser:
+    """--config, --out and one override flag per config key, shared by every subcommand."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="run configuration file")
+    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     for key in CONFIG_DEFAULTS:
         flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE",
-                         help=f"override config key {key}")
+        common.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE",
+                            help=f"override config key {key}")
+    return common
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,37 +57,28 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="densecoding",
         description="Dense-coding simulator over correlated dephasing environments.")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = [_common_flags()]
 
-    sweep = subs.add_parser("sweep", help="mutual-information sweep CSV over the time grid")
-    _add_common_flags(sweep)
-    sweep.set_defaults(func=_cmd_sweep)
+    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        sub = subs.add_parser(name, parents=common, help=help_text)
+        sub.set_defaults(func=func)
+        return sub
 
-    mc = subs.add_parser("mc", help="single-point Monte Carlo MI estimate with error bar")
-    _add_common_flags(mc)
+    command("sweep", _cmd_sweep, "mutual-information sweep CSV over the time grid")
+    mc = command("mc", _cmd_mc, "single-point Monte Carlo MI estimate with error bar")
     mc.add_argument("--kappa-abs", type=float, metavar="X",
                     help="coherence magnitude of the shared state (overrides --t-a)")
     mc.add_argument("--t-a", type=float, metavar="T",
                     help="noise duration; defaults to the last grid point")
-    mc.set_defaults(func=_cmd_mc)
-
-    fit = subs.add_parser("fit", help="least-squares (k, s) fit from a CSV of points")
-    _add_common_flags(fit)
+    fit = command("fit", _cmd_fit, "least-squares (k, s) fit from a CSV of points")
     fit.add_argument("--in", dest="input_path", required=True, metavar="PATH",
                      help="CSV of (kappa_abs, mi) points or a sweep CSV")
-    fit.set_defaults(func=_cmd_fit)
-
-    tomo = subs.add_parser("tomo", help="reconstruct a state from 16 projector counts")
-    _add_common_flags(tomo)
+    tomo = command("tomo", _cmd_tomo, "reconstruct a state from 16 projector counts")
     tomo.add_argument("--in", dest="input_path", required=True, metavar="PATH",
                       help="file with 16 counts (whitespace or comma separated)")
     tomo.add_argument("--n-per-projector", type=int, metavar="N",
                       help="shots per projector; defaults to n_per_input")
-    tomo.set_defaults(func=_cmd_tomo)
-
-    show = subs.add_parser("show", help="echo the resolved configuration and derived values")
-    _add_common_flags(show)
-    show.set_defaults(func=_cmd_show)
-
+    command("show", _cmd_show, "echo the resolved configuration and derived values")
     return parser
 
 

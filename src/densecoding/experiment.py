@@ -29,7 +29,7 @@ from .protocol import (
     _mi4_from_x,
     _mi_bits,
 )
-from .states import BellLabel, _concurrences, _validate_states, validate_density_matrix
+from .states import BellLabel, _concurrences, validate_density_matrix
 
 __all__ = [
     "CountTable",
@@ -105,14 +105,20 @@ def sample_counts(table: ConditionalTable, n_per_input: int, seed: int) -> Count
     return CountTable(table.inputs, table.outputs, counts, n_per_input)
 
 
-def _draw_counts(p: np.ndarray, n_per_input: int, trials: int, seed: int) -> np.ndarray:
-    """Count tables (trials, inputs, outcomes) for one p(y|x) table from one
-    multinomial call; the stream is consumed trial by trial, input by input."""
+def _draw_counts(p: np.ndarray, n_per_input: int, trials: int, seeds) -> np.ndarray:
+    """Count tables (tables, trials, inputs, outcomes) for p(y|x) tables
+    (tables, inputs, outcomes), clipped and normalised as one stack.  Table j
+    takes one multinomial call on the stream of seeds[j], consumed trial by
+    trial, input by input.  One table and one int seed give (trials, inputs,
+    outcomes)."""
     if n_per_input <= 0:
         raise ValueError(f"n_per_input must be positive, got {n_per_input}")
+    if np.ndim(p) == 2:
+        return _draw_counts(np.asarray(p)[None], n_per_input, trials, [seeds])[0]
     p = np.clip(p, 0.0, None)
-    return np.random.default_rng(seed).multinomial(
-        n_per_input, p / p.sum(axis=-1, keepdims=True), size=(trials, p.shape[0]))
+    p /= p.sum(axis=-1, keepdims=True)
+    return np.stack([np.random.default_rng(seed).multinomial(
+        n_per_input, q, size=(trials, q.shape[0])) for q, seed in zip(p, seeds)])
 
 
 def _bootstrap_stats(priors: np.ndarray, counts: np.ndarray,
@@ -285,17 +291,11 @@ _KETS = {
 TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
 
 
-def _tomography_projectors() -> np.ndarray:
-    kets = [np.kron(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
-    projectors = np.array([np.outer(ket, ket.conj()) for ket in kets])
-    projectors.setflags(write=False)
-    return projectors
-
-
-_PROJECTORS = _tomography_projectors()
-# Design matrix of the linear state-to-frequency map; row i is chosen so that
+# Design matrix of the linear state-to-frequency map: row i is the transpose
+# of the projector |a b><a b| of setting i, flattened, so that
 # A @ rho.flatten() gives Tr(P_i rho).
-_DESIGN = np.array([p.T.flatten() for p in _PROJECTORS])
+_DESIGN = np.array([np.kron(ket.conj(), ket) for ket in
+                    (np.kron(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS)])
 assert np.linalg.matrix_rank(_DESIGN) == 16, "tomography design matrix is singular"
 _DESIGN_INV = np.linalg.inv(_DESIGN)
 _DESIGN.setflags(write=False)
@@ -308,8 +308,11 @@ def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.nd
 
 
 def _tomography_probabilities(rho: np.ndarray) -> np.ndarray:
-    """Tr(P_i rho) clipped to [0, 1] for states shaped (..., 4, 4): (..., 16)."""
-    probs = np.trace(_PROJECTORS @ rho[..., None, :, :], axis1=-2, axis2=-1).real
+    """Tr(P_i rho) clipped to [0, 1] for states shaped (..., 4, 4): (..., 16).
+
+    An einsum, not ``@``: BLAS would pick gemm or gemv by the stack size, and
+    a state's last bit would then depend on the states stacked with it."""
+    probs = np.einsum("pk,...k->...p", _DESIGN, rho.reshape(rho.shape[:-2] + (16,))).real
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -370,7 +373,10 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     ``expected_tomography_counts``, ``reconstruct_linear_inversion`` and
     ``concurrence``; ``simulate_protocol`` and ``mutual_information``; and
     ``estimate_mi_with_errors`` with seed ``_derived_seed(seed, i)``.  Rows
-    are computed as stacked arrays, a block at a time.
+    are computed as stacked arrays, a block at a time; a block's tables are
+    normalised once, as one stack.  The arguments and the Born tables are
+    checked; the density-matrix stacks built here are states by
+    construction and are not validated again.
     """
     grid = np.array([float(t) for t in time_grid])
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
@@ -392,12 +398,12 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         # differ in the last bit.
         kappa_abs = np.hypot(kappa.real, kappa.imag)
         # Counts n * p divided by n again, as the scalar route rounds them.
-        counts = n * _tomography_probabilities(_validate_states(_pre_encoding_states(spec, t)))
-        conc = _concurrences(_validate_states(_reconstruct(counts / n)))
+        counts = n * _tomography_probabilities(_pre_encoding_states(spec, t))
+        conc = _concurrences(_reconstruct(counts / n))
         tables = _checked_probabilities(_born_tables(spec, t, t, scheme, noise_order))
         theory = np.maximum(0.0, _mi_bits(priors, tables) - s)
-        draws = np.stack([_draw_counts(p, n_per_input, trials, _derived_seed(seed, start + i))
-                          for i, p in enumerate(tables)])
+        draws = _draw_counts(tables, n_per_input, trials,
+                             [_derived_seed(seed, i) for i in range(start, start + t.size)])
         mean, std = _bootstrap_stats(priors, draws, n_per_input)
         rows.extend(SweepRow(*values, scheme.variant) for values in zip(
             t.tolist(), kappa_abs.tolist(), conc.tolist(), theory.tolist(),

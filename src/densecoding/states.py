@@ -206,7 +206,7 @@ def concurrence(rho: np.ndarray) -> float:
 
 
 def _concurrences(rho: np.ndarray) -> np.ndarray:
-    """:func:`concurrence` of a stack (..., 4, 4) of already validated states."""
+    """:func:`concurrence` of a stack (..., 4, 4) of states it does not check."""
     spin_flipped = _Y_OTIMES_Y @ rho.conj() @ _Y_OTIMES_Y
     lams = np.linalg.svd(_psd_sqrt(spin_flipped) @ _psd_sqrt(rho), compute_uv=False)
     return np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])

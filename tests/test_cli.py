@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from densecoding import (
     expected_tomography_counts,
     mutual_information,
 )
-from densecoding.cli import main
+from densecoding.cli import _build_parser, main
 
 
 def run_cli(args, capsys):
@@ -263,3 +264,28 @@ class TestErrors:
             ["show", "--config", str(tmp_path / "none.cfg")], capsys)
         assert code == 1
         assert "error:" in stderr
+
+
+_CONFIG_FLAGS = {"--config", "--out", "--omega0", "--c-aa", "--c-bb", "--k", "--delta-n",
+                 "--s", "--n-per-input", "--trials", "--seed", "--scheme", "--noise-order",
+                 "--priors", "--t-start", "--t-stop", "--t-step", "--t-list", "--output-path"}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, extra, required", [
+        ("sweep", set(), []),
+        ("mc", {"--kappa-abs", "--t-a"}, []),
+        ("fit", {"--in"}, ["--in", "points.csv"]),
+        ("tomo", {"--in", "--n-per-projector"}, ["--in", "counts.txt"]),
+        ("show", set(), []),
+    ])
+    def test_subcommand_options(self, command, extra, required, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        help_text = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z0-9-]+", help_text)) == _CONFIG_FLAGS | extra | {"--help"}
+        parser = _build_parser()
+        for flag in _CONFIG_FLAGS | extra:
+            args = parser.parse_args([command, *required, flag, "1"])
+            assert args.command == command

@@ -37,14 +37,18 @@ from densecoding import (
 )
 from densecoding import experiment
 from densecoding.config import build_config
+from densecoding.environment import _pre_encoding_states
 from densecoding.experiment import (
     TOMOGRAPHY_SETTINGS,
     _derived_seed,
     _draw_counts,
+    _reconstruct,
     _rss_profile,
     _rss_surface,
+    _tomography_probabilities,
 )
 from densecoding.protocol import _mi3_from_x, _mi4_from_x
+from densecoding.states import _validate_states
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -98,6 +102,18 @@ class TestSampleCounts:
             for c in draws])
         assert estimate_mi_with_errors(table, THREE, 1000, 30, 8) == (
             values.mean(), values.std(ddof=1))
+
+    def test_stack_draws_each_table_from_its_own_seed(self):
+        # rows off 1 by rounding and a tiny negative entry, as Born tables come
+        tables = np.stack([conditional_probabilities(FOUR, m).p_y_given_x
+                           for m in (0.0, 0.3, 0.9)])
+        tables[1, 2] *= 1.0 + 1e-12
+        tables[2, 0, 3] = -1e-15
+        seeds = [_derived_seed(4, i) for i in range(3)]
+        draws = _draw_counts(tables, 1000, 5, seeds)
+        assert draws.shape == (3, 5, 4, 4)
+        for p, seed, d in zip(tables, seeds, draws):
+            np.testing.assert_array_equal(d, _draw_counts(p, 1000, 5, seed))
 
 
 class TestEstimateMi:
@@ -219,6 +235,51 @@ class TestTomographyCounts:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (16,)
         assert np.all(a >= 0) and np.all(a <= 10_000)
+
+
+_SETTING_KETS = {"H": np.array([1.0, 0.0]), "V": np.array([0.0, 1.0]),
+                 "D": np.array([1.0, 1.0]) / math.sqrt(2.0),
+                 "L": np.array([1.0, 1.0j]) / math.sqrt(2.0)}
+
+
+def _random_states(seed, count):
+    """Density matrices of random rank from 1 to 4, as a (count, 4, 4) stack."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(count):
+        rank = rng.integers(1, 5)
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = g @ g.conj().T
+        states.append(rho / np.trace(rho).real)
+    return np.array(states)
+
+
+class TestTomographyProbabilities:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_projector_expectations(self, seed, count):
+        states = _random_states(seed, count)
+        kets = [np.kron(_SETTING_KETS[a], _SETTING_KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
+        explicit = np.array([[np.vdot(ket, rho @ ket).real for ket in kets] for rho in states])
+        probs = _tomography_probabilities(states)
+        np.testing.assert_allclose(probs, np.clip(explicit, 0.0, 1.0), rtol=0.0, atol=1e-15)
+        for rho, row in zip(states, probs):
+            np.testing.assert_array_equal(_tomography_probabilities(rho), row)
+            np.testing.assert_array_equal(_tomography_probabilities(rho[None])[0], row)
+
+
+class TestSweepStacks:
+    """The stacks run_sweep builds and no longer validates are valid states."""
+
+    @given(st.floats(0.2, 2.5), st.floats(0.2, 2.5), st.floats(-1.0, 1.0),
+           st.floats(-2.0, 2.0), st.floats(-3.0, 5.0),
+           st.lists(st.floats(0.0, 2.5), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_pre_encoding_and_reconstructed_stacks_are_states(self, c_aa, c_bb, k, delta_n,
+                                                              omega0, grid):
+        spec = JointSpectrum(omega0=omega0, c_aa=c_aa, c_bb=c_bb, k=k, delta_n=delta_n)
+        states = _validate_states(_pre_encoding_states(spec, np.array(grid)))
+        _validate_states(_reconstruct(_tomography_probabilities(states)))
 
 
 class TestReconstruction:
@@ -370,6 +431,19 @@ class TestBatchedSweep:
         for tables in (1, 14, 256, 10**6):
             monkeypatch.setattr(experiment, "_TABLES_PER_BLOCK", tables)
             outputs.add(sweep_rows_to_csv(run_sweep(spec, grid, THREE, 1000, 3, 9)))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("order", list(NoiseOrder))
+    def test_bytes_do_not_depend_on_block_size_in_benchmark_regimes(self, monkeypatch, order):
+        # Blocks of 1, 2 and 128 rows at two trials: a BLAS product would
+        # switch between gemv and gemm here and move the last bit.
+        spec = JointSpectrum(c_bb=2.0, k=-0.5)
+        grid = np.linspace(0.0, 2.0, 300)
+        outputs = set()
+        for tables in (2, 4, 256):
+            monkeypatch.setattr(experiment, "_TABLES_PER_BLOCK", tables)
+            outputs.add(sweep_rows_to_csv(run_sweep(spec, grid, FOUR, 10_000, 2, 7,
+                                                    noise_order=order)))
         assert len(outputs) == 1
 
 
