@@ -29,8 +29,8 @@ _EXPORTS = {
     "protocol": (
         "BELL_OUTPUT_ORDER", "ConditionalTable", "EncodingScheme", "NoiseOrder",
         "SECTOR_PARTNER", "SchemeVariant", "capacity_bob_noise",
-        "capacity_from_non_markovianity", "capacity_pre_encoding", "closed_form_applies",
-        "closed_form_mi", "closed_form_mi3", "closed_form_mi4", "conditional_probabilities",
+        "capacity_from_non_markovianity", "capacity_pre_encoding", "closed_form_mi",
+        "closed_form_mi3", "closed_form_mi4", "conditional_probabilities",
         "effective_visibility", "mutual_information", "simulate_protocol",
     ),
     "states": (

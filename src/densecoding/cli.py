@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 
@@ -28,13 +29,7 @@ from .experiment import (
     run_sweep,
     sweep_rows_to_csv,
 )
-from .protocol import (
-    closed_form_applies,
-    conditional_probabilities,
-    effective_visibility,
-    mutual_information,
-    simulate_protocol,
-)
+from .protocol import mutual_information, simulate_protocol
 from .states import concurrence, density_matrix_to_text
 
 __all__ = ["main"]
@@ -111,26 +106,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require_closed_form(cfg: RunConfig, command: str) -> None:
-    """Refuse a command whose closed-form model is not the configured channel."""
-    spec = cfg.spectrum
-    if not closed_form_applies(spec, cfg.scheme.variant, cfg.noise_order):
-        raise ValueError(
-            f"{command} uses the closed-form channel, which needs c_aa = c_bb and, "
-            f"with FOUR_STATE, NOISE_BEFORE_ENCODING; got c_aa = {spec.c_aa:g}, "
-            f"c_bb = {spec.c_bb:g}, {cfg.scheme.variant.value}, {cfg.noise_order.value}")
-
-
 def _cmd_mc(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _require_closed_form(cfg, "mc")
+    spec = cfg.spectrum
     if args.kappa_abs is not None:
         kappa_abs = args.kappa_abs
+        if not 0.0 < kappa_abs <= 1.0 or (kappa_abs < 1.0 and spec.delta_n == 0.0):
+            raise ValueError(f"kappa_abs must lie in (0, 1], and be 1 when delta_n = 0; "
+                             f"got {kappa_abs!r} with delta_n = {spec.delta_n:g}")
+        # |kappa_A(t)| = exp(-c_aa dn^2 t^2 / 2); kappa_abs = 1 is t = 0 for every dn.
+        t = 0.0 if kappa_abs == 1.0 else (
+            math.sqrt(-2.0 * math.log(kappa_abs) / spec.c_aa) / abs(spec.delta_n))
     else:
-        t_a = args.t_a if args.t_a is not None else cfg.time_grid[-1]
-        kappa_abs = abs(decoherence_function(cfg.spectrum, t_a))
-    m = effective_visibility(kappa_abs, cfg.spectrum.k)
-    table = conditional_probabilities(cfg.scheme, m)
+        t = args.t_a if args.t_a is not None else cfg.time_grid[-1]
+        kappa_abs = abs(decoherence_function(spec, t))
+    table = simulate_protocol(spec, DephasingTimes(t, t), cfg.scheme, cfg.noise_order)
     mean, std = estimate_mi_with_errors(table, cfg.scheme, cfg.n_per_input,
                                         cfg.trials, cfg.seed)
     theory = mutual_information(cfg.scheme, table, cfg.s)
@@ -174,11 +164,11 @@ def _read_fit_points(path: str) -> list[tuple[float, float]]:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _require_closed_form(cfg, "fit")
     if len(set(cfg.scheme.priors)) > 1:
-        raise ValueError("fit uses the closed-form curves, which need uniform priors")
+        raise ValueError("fit models uniform priors only")
     points = _read_fit_points(args.input_path)
-    result = fit_k_s(points, cfg.scheme.variant)
+    spec = cfg.spectrum
+    result = fit_k_s(points, cfg.scheme.variant, spec.c_bb / spec.c_aa, cfg.noise_order)
     _emit(fit_result_to_csv(result), args, cfg)
     return 0
 

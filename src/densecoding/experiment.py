@@ -10,6 +10,7 @@ other rows are computed with it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -25,9 +26,8 @@ from .protocol import (
     SchemeVariant,
     _born_tables,
     _checked_probabilities,
-    _mi3_from_x,
-    _mi4_from_x,
     _mi_bits,
+    _mi_curve,
 )
 from .states import BellLabel, _concurrences, validate_density_matrix
 
@@ -159,13 +159,13 @@ _PROFILE_ROWS = 16
 _MAX_WINDOW_MOVES = 100
 
 
-def _rss_surface(kappas: np.ndarray, mis: np.ndarray, model,
+def _rss_surface(kappas: np.ndarray, mis: np.ndarray, curve,
                  k_grid: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of the closed-form model over a (k, s) grid."""
+    """Residual sum of squares of the model curve(kappa, k) over a (k, s) grid."""
     chunk = max(1, _RSS_CELLS // (k_grid.size * s_grid.size))
     rss = np.zeros((k_grid.size, s_grid.size))
     for lo in range(0, kappas.size, chunk):
-        f = model(kappas[lo:lo + chunk, None] ** (2.0 + 2.0 * k_grid))
+        f = curve(kappas[lo:lo + chunk, None], k_grid)
         resid = f[:, :, None] - s_grid
         np.maximum(resid, 0.0, out=resid)
         resid -= mis[lo:lo + chunk, None, None]
@@ -173,7 +173,7 @@ def _rss_surface(kappas: np.ndarray, mis: np.ndarray, model,
     return rss
 
 
-def _rss_profile(kappas: np.ndarray, mis: np.ndarray, model,
+def _rss_profile(kappas: np.ndarray, mis: np.ndarray, curve,
                  k_grid: np.ndarray, s_grid: np.ndarray) -> tuple[np.ndarray, float]:
     """RSS over a (k, s) grid, and the largest k row's sum(d^2) + sum(m^2).
 
@@ -183,7 +183,7 @@ def _rss_profile(kappas: np.ndarray, mis: np.ndarray, model,
     profile = np.empty((k_grid.size, s_grid.size))
     scale = 0.0
     for lo in range(0, k_grid.size, _PROFILE_ROWS):
-        f = model(kappas ** (2.0 + 2.0 * k_grid[lo:lo + _PROFILE_ROWS, None]))
+        f = curve(kappas, k_grid[lo:lo + _PROFILE_ROWS, None])
         order = np.argsort(f, axis=1)
         f, m = np.take_along_axis(f, order, axis=1), mis[order]
         sums = np.pad(np.cumsum([(f - m) ** 2, f - m, m * m], axis=-1), ((0, 0), (0, 0), (1, 0)))
@@ -197,14 +197,14 @@ def _rss_profile(kappas: np.ndarray, mis: np.ndarray, model,
     return profile, scale
 
 
-def _coarse_surface(kappas: np.ndarray, mis: np.ndarray, model,
+def _coarse_surface(kappas: np.ndarray, mis: np.ndarray, curve,
                     k_grid: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
     """RSS over a (k, s) grid: exact on the cells the profile puts near its
     minimum, +inf elsewhere, so ties break as on the fully evaluated grid."""
-    surface, scale = _rss_profile(kappas, mis, model, k_grid, s_grid)
+    surface, scale = _rss_profile(kappas, mis, curve, k_grid, s_grid)
     near = surface <= surface.min() + 1e-9 * (1.0 + scale)
     rows, cols = (slice(i.min(), i.max() + 1) for i in np.nonzero(near))
-    exact = _rss_surface(kappas, mis, model, k_grid[rows], s_grid[cols])
+    exact = _rss_surface(kappas, mis, curve, k_grid[rows], s_grid[cols])
     surface.fill(np.inf)
     surface[rows, cols] = np.where(near[rows, cols], exact, np.inf)
     return surface
@@ -228,9 +228,12 @@ def _on_inner_edge(value: float, grid: np.ndarray, lo: float, hi: float) -> bool
     return (value == grid[0] and grid[0] > lo) or (value == grid[-1] and grid[-1] < hi)
 
 
-def fit_k_s(points, variant: SchemeVariant) -> FitResult:
+def fit_k_s(points, variant: SchemeVariant, variance_ratio: float = 1.0,
+            noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING) -> FitResult:
     """Bounded least-squares fit of (k, s) to measured (kappa_abs, mi) pairs.
 
+    The model is the uniform-prior MI at equal stage times, minus s, for the
+    ratio r = c_bb / c_aa and the noise order; the defaults are ``closed_form_mi``.
     Deterministic derivative-free search.  The coarse grid, with steps
     0.01 in k and 0.001 in s over s in [0, 1], is searched through an exact
     sorted profile per k (see ``_coarse_surface``).  When its optimum lies
@@ -250,19 +253,22 @@ def fit_k_s(points, variant: SchemeVariant) -> FitResult:
     kappas, mis = pts.T
     if np.any(kappas <= 0.0) or np.any(kappas > 1.0):
         raise ValueError("kappa_abs values must lie in (0, 1]")
-    model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
+    if not (math.isfinite(variance_ratio) and variance_ratio > 0.0):
+        raise ValueError(f"variance_ratio must be positive, got {variance_ratio}")
+    curve = functools.partial(_mi_curve, variant=variant, variance_ratio=variance_ratio,
+                              noise_order=noise_order)
 
     k_step, s_step = 0.01, 0.001
     k_grid = np.arange(-1.0, 1.0 + k_step / 2, k_step)
     s_grid = np.arange(0.0, 1.0 + s_step / 2, s_step)
     k_hat, s_hat, rss = _pick_minimum(
-        _coarse_surface(kappas, mis, model, k_grid, s_grid), k_grid, s_grid)
+        _coarse_surface(kappas, mis, curve, k_grid, s_grid), k_grid, s_grid)
     if s_hat == s_grid[-1]:
-        # Past the largest model value, model(1) at k = -1, the RSS no
+        # Past the largest model value, its value at kappa = 1, the RSS no
         # longer depends on s, so the widened grid covers every s that counts.
-        s_grid = np.arange(0.0, float(model(1.0)) + s_step, s_step)
+        s_grid = np.arange(0.0, float(curve(1.0, 0.0)) + s_step, s_step)
         k_hat, s_hat, rss = _pick_minimum(
-            _coarse_surface(kappas, mis, model, k_grid, s_grid), k_grid, s_grid)
+            _coarse_surface(kappas, mis, curve, k_grid, s_grid), k_grid, s_grid)
 
     for _ in range(2):
         k_step, s_step = k_step / 10, s_step / 10
@@ -270,7 +276,7 @@ def fit_k_s(points, variant: SchemeVariant) -> FitResult:
             k_grid = _centered_grid(k_hat, k_step, -1.0, 1.0)
             s_grid = _centered_grid(s_hat, s_step, 0.0, math.inf)
             k_hat, s_hat, rss = _pick_minimum(
-                _rss_surface(kappas, mis, model, k_grid, s_grid), k_grid, s_grid)
+                _rss_surface(kappas, mis, curve, k_grid, s_grid), k_grid, s_grid)
             if not (_on_inner_edge(k_hat, k_grid, -1.0, 1.0)
                     or _on_inner_edge(s_hat, s_grid, 0.0, math.inf)):
                 break
@@ -332,10 +338,12 @@ def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
     (negative eigenvalues from finite statistics are clamped to zero) and
     trace-normalized.  On exact expected counts this is the identity map.
     """
-    freq = np.asarray(counts, dtype=float) / float(n_per_projector)
-    if freq.shape != (16,):
-        raise ValueError(f"expected 16 counts, got shape {freq.shape}")
-    return validate_density_matrix(_reconstruct(freq), dim=4)
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (16,):
+        raise ValueError(f"expected 16 counts, got shape {counts.shape}")
+    if not np.all(np.isfinite(counts) & (counts >= 0.0)):
+        raise ValueError(f"counts must be finite and non-negative, got {counts}")
+    return validate_density_matrix(_reconstruct(counts / float(n_per_projector)), dim=4)
 
 
 def _reconstruct(freq: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@
 The dephasing channel couples each encoded Bell state only to its partner
 within the same sector (Phi+ <-> Phi-, Psi+ <-> Psi-), so every conditional
 distribution is a two-point mixture controlled by one visibility per
-sector.  With equal variances both sectors share
-``m = kappa_abs ** (2 (1 + k))``, and the closed-form mutual-information
-expressions below are exact where :func:`closed_form_applies` says so;
-:func:`simulate_protocol` is the independent density-matrix route used to
-check them, and the theory of record everywhere else.
+sector.  At equal stage times, with r = c_bb / c_aa, the Phi sector keeps
+``kappa_abs ** (1 + r + 2 k sqrt(r))``; so does the Psi sector with the noise
+before the encoding, and ``kappa_abs ** (1 + r - 2 k sqrt(r))`` after it.
+``_mi_curve`` is the resulting mutual information of every regime, and the
+closed forms are its r = 1, noise-before-encoding case.  The independent
+density-matrix route :func:`simulate_protocol` is the theory of record.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "capacity_bob_noise",
     "capacity_from_non_markovianity",
     "capacity_pre_encoding",
-    "closed_form_applies",
     "closed_form_mi",
     "closed_form_mi3",
     "closed_form_mi4",
@@ -146,20 +146,22 @@ class ConditionalTable:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0] != ["input", "output", "p"]:
             raise ValueError('expected header "input,output,p"')
-        inputs: list[BellLabel] = []
-        outputs: list[BellLabel] = []
         entries: dict[tuple[BellLabel, BellLabel], float] = {}
         for row in rows[1:]:
             if len(row) != 3:
                 raise ValueError(f"malformed row {row!r}")
-            x, y, p = BellLabel(row[0]), BellLabel(row[1]), float(row[2])
-            if x not in inputs:
-                inputs.append(x)
-            if y not in outputs:
-                outputs.append(y)
-            entries[x, y] = p
+            cell = BellLabel(row[0]), BellLabel(row[1])
+            if cell in entries:
+                raise ValueError(f"repeated cell ({row[0]}, {row[1]})")
+            entries[cell] = float(row[2])
+        inputs = tuple(dict.fromkeys(x for x, _ in entries))
+        outputs = tuple(dict.fromkeys(y for _, y in entries))
+        missing = [f"({x.value}, {y.value})" for x in inputs for y in outputs
+                   if (x, y) not in entries]
+        if missing:
+            raise ValueError(f"missing cells: {', '.join(missing)}")
         mat = np.array([[entries[x, y] for y in outputs] for x in inputs])
-        return cls(tuple(inputs), tuple(outputs), mat)
+        return cls(inputs, outputs, mat)
 
 
 def _checked_probabilities(p: np.ndarray) -> np.ndarray:
@@ -175,9 +177,9 @@ def _checked_probabilities(p: np.ndarray) -> np.ndarray:
 def effective_visibility(kappa_abs: float, k: float) -> float:
     """Coherence magnitude kappa_abs ** (2 (1 + k)) surviving both noise stages.
 
-    Valid in the equal-time, equal-variance regime.  The convention 0**0 = 1
-    keeps the k = -1 curve continuous; the doubly degenerate point
-    (kappa_abs = 0, k = -1) returns 1 with a warning.
+    The equal-time, r = c_bb / c_aa = 1 form (else :func:`simulate_protocol`).
+    The convention 0**0 = 1 keeps the k = -1 curve continuous; the doubly
+    degenerate point (kappa_abs = 0, k = -1) returns 1 with a warning.
     """
     if not 0.0 <= kappa_abs <= 1.0:
         raise ValueError(f"kappa_abs must lie in [0, 1], got {kappa_abs}")
@@ -244,8 +246,8 @@ def capacity_pre_encoding(kappa_abs: float) -> float:
 def capacity_bob_noise(kappa_abs: float, k: float) -> float:
     """Capacity in bits with both noise stages: 2 - H((1 + kappa^(2(1+k)))/2).
 
-    For strongly anticorrelated environments this exceeds the sender-only
-    value: the receiver-side noise rebuilds the lost coherence.
+    The r = c_bb / c_aa = 1 form; with strong anticorrelation it exceeds the
+    sender-only value: the receiver-side noise rebuilds the lost coherence.
     """
     return 2.0 - binary_entropy((1.0 + effective_visibility(kappa_abs, k)) / 2.0)
 
@@ -255,7 +257,8 @@ def capacity_from_non_markovianity(n: float, kappa_abs: float) -> float:
 
     Inverts n = |kappa|^(1-k^2) - |kappa| for |k| and feeds the result into
     the joint-noise capacity formula; valid for anticorrelated environments
-    (k <= 0), where |k| determines k.
+    (k <= 0), where |k| determines k.  n holds for every variance ratio; the
+    capacity is the r = c_bb / c_aa = 1 form.
     """
     if not 0.0 < kappa_abs < 1.0:
         raise ValueError(
@@ -270,9 +273,9 @@ def capacity_from_non_markovianity(n: float, kappa_abs: float) -> float:
 
 def _mi3_from_x(x):
     """Three-state mutual information (bits, no offset) as a function of the
-    visibility x, in the natural-log form with 1/ln 8 prefactor."""
+    visibility x, in the natural-log form with 1/ln 8 prefactor; log2(3) at x = 1."""
     x = np.asarray(x, dtype=float)
-    near_one = 1.0 - x < 1e-12
+    near_one = x >= 1.0
     safe = np.where(near_one, 0.5, x)
     bracket = (2.0 * safe * np.arctanh(safe)
                + np.log(27.0 / 4.0 * (1.0 - safe))
@@ -288,45 +291,44 @@ def _mi4_from_x(x):
     return bracket / np.log(4.0)
 
 
-def closed_form_mi3(kappa_abs: float, k: float, s: float = 0.0) -> float:
-    """Closed-form three-state mutual information in bits, minus the offset s.
+def closed_form_mi(variant: SchemeVariant, kappa_abs: float, k: float,
+                   s: float = 0.0) -> float:
+    """Closed-form mutual information in bits of the variant's uniform
+    alphabet, minus the offset s, at visibility x = kappa_abs ** (2 + 2k).
 
-    Evaluated at visibility x = kappa_abs**(2+2k); the x -> 1 limit value
-    log2(3) - s is returned analytically when 1 - x < 1e-12.
+    The r = c_bb / c_aa = 1, noise-before-encoding form; for other regimes
+    use :func:`simulate_protocol` or ``fit_k_s(variance_ratio=..., noise_order=...)``.
     """
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
     x = effective_visibility(kappa_abs, k)
-    return max(0.0, float(_mi3_from_x(x)) - s)
+    mi = _mi3_from_x(x) if variant is SchemeVariant.THREE_STATE else _mi4_from_x(x)
+    return max(0.0, float(mi) - s)
+
+
+def closed_form_mi3(kappa_abs: float, k: float, s: float = 0.0) -> float:
+    """Three-state :func:`closed_form_mi`; log2(3) - s at x = 1."""
+    return closed_form_mi(SchemeVariant.THREE_STATE, kappa_abs, k, s)
 
 
 def closed_form_mi4(kappa_abs: float, k: float, s: float = 0.0) -> float:
-    """Closed-form four-state mutual information in bits, minus the offset s."""
-    if s < 0:
-        raise ValueError(f"s must be non-negative, got {s}")
-    x = effective_visibility(kappa_abs, k)
-    return max(0.0, float(_mi4_from_x(x)) - s)
+    """Four-state :func:`closed_form_mi`."""
+    return closed_form_mi(SchemeVariant.FOUR_STATE, kappa_abs, k, s)
 
 
-def closed_form_applies(spec: JointSpectrum, variant: SchemeVariant,
-                        noise_order: NoiseOrder) -> bool:
-    """Whether the closed forms describe the channel of :func:`simulate_protocol`.
-
-    They assume equal variances (so one visibility kappa_abs ** (2 (1 + k))
-    per sector) and, with four states, the noise before the encoding: after
-    it the Psi sector sees the opposite cross term.  Three states are exact
-    in both orders, because Psi+ is never confused with another input.
-    """
-    return spec.c_aa == spec.c_bb and not (
-        variant is SchemeVariant.FOUR_STATE and noise_order is NoiseOrder.NOISE_AFTER_ENCODING)
-
-
-def closed_form_mi(variant: SchemeVariant, kappa_abs: float, k: float,
-                   s: float = 0.0) -> float:
-    """Dispatch to the closed form matching the encoding variant."""
-    if variant is SchemeVariant.THREE_STATE:
-        return closed_form_mi3(kappa_abs, k, s)
-    return closed_form_mi4(kappa_abs, k, s)
+def _mi_curve(kappa_abs, k, variant: SchemeVariant, variance_ratio: float = 1.0,
+              noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING):
+    """Uniform-prior MI in bits, no offset, at equal stage times for broadcastable
+    kappa_abs and k, the ratio r = c_bb / c_aa and the noise order (see above).
+    m_psi is capped at 1, for k a rounding error above 1 (the fit's k grid)."""
+    root = math.sqrt(variance_ratio)
+    m_phi = kappa_abs ** (1.0 + variance_ratio + 2.0 * root * k)
+    if variant is SchemeVariant.THREE_STATE:  # Psi+ is never confused
+        return _mi3_from_x(m_phi)
+    if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING:
+        return _mi4_from_x(m_phi)
+    m_psi = np.minimum(kappa_abs ** (1.0 + variance_ratio - 2.0 * root * k), 1.0)
+    return (_mi4_from_x(m_phi) + _mi4_from_x(m_psi)) / 2.0
 
 
 _PROJECTORS = np.array([bell_state(y) for y in BELL_OUTPUT_ORDER])

@@ -8,14 +8,18 @@ import pytest
 
 from densecoding import (
     BellLabel,
+    DephasingTimes,
     EncodingScheme,
     bell_state,
     closed_form_mi4,
     conditional_probabilities,
+    decoherence_function,
     density_matrix_from_text,
     effective_visibility,
     expected_tomography_counts,
     mutual_information,
+    parse_config,
+    simulate_protocol,
 )
 from densecoding.cli import _build_parser, main
 
@@ -129,16 +133,47 @@ class TestMc:
         assert "error:" in stderr
 
     @pytest.mark.parametrize("flags", [
-        ["--c-bb", "2"],
-        ["--scheme", "FOUR_STATE", "--noise-order", "NOISE_AFTER_ENCODING"],
+        pytest.param(["--kappa-abs", "0"], id="zero"),
+        pytest.param(["--kappa-abs", "-0.5"], id="negative"),
+        pytest.param(["--kappa-abs", "nan"], id="nan"),
+        pytest.param(["--kappa-abs", "0.5", "--delta-n", "0"], id="delta_n=0"),
     ])
-    def test_refuses_channel_outside_closed_form(self, flags, capsys):
-        code, stdout, stderr = run_cli(
-            ["mc", "--kappa-abs", "0.5", "--trials", "20", "--n-per-input", "500", *flags],
-            capsys)
+    def test_rejects_unreachable_kappa(self, flags, capsys):
+        code, stdout, stderr = run_cli(["mc", *flags], capsys)
         assert code == 1
         assert stdout == ""
-        assert stderr.startswith("error: mc ")
+        assert stderr.startswith("error: kappa_abs must lie in (0, 1]")
+
+    @pytest.mark.parametrize("delta_n", ["1", "0"])
+    def test_kappa_one_is_the_noiseless_channel(self, delta_n, capsys):
+        code, stdout, stderr = run_cli(
+            ["mc", "--kappa-abs", "1", "--k", "0.3", "--delta-n", delta_n, "--trials", "20",
+             "--n-per-input", "500"], capsys)
+        assert code == 0 and stderr == ""
+        assert stdout.splitlines()[1] == "1,1.5849625007211561,1.5849625007211561,0"
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--c-bb", "2"], id="c_bb=2"),
+        pytest.param(["--scheme", "FOUR_STATE", "--noise-order", "NOISE_AFTER_ENCODING"],
+                     id="four_state_after_encoding"),
+        pytest.param(["--c-aa", "0.5", "--c-bb", "1.7", "--omega0", "-1", "--delta-n", "-1.3",
+                      "--scheme", "FOUR_STATE", "--noise-order", "NOISE_AFTER_ENCODING",
+                      "--priors", "0.4,0.3,0.2,0.1"], id="all"),
+    ])
+    def test_theory_matches_show(self, flags, capsys):
+        common = ["--k", "-0.5", "--s", "0.01", "--t-list", "0.0,1.3", *flags]
+        bootstrap = ["--trials", "20", "--n-per-input", "500"]
+        code, stdout, stderr = run_cli(["mc", *bootstrap, *common], capsys)
+        assert code == 0 and stderr == ""
+        kappa, theory = stdout.splitlines()[1].split(",")[:2]
+        _, shown, _ = run_cli(["show", *common], capsys)
+        values = dict(line.split(" = ", 1) for line in shown.splitlines())
+        assert (kappa, theory) == (values["kappa_abs_last"], values["mi_theory_last"])
+        # --kappa-abs maps back to the stage time of that kappa.
+        code, stdout, _ = run_cli(["mc", "--kappa-abs", kappa, *bootstrap, *common], capsys)
+        assert code == 0
+        assert float(stdout.splitlines()[1].split(",")[1]) == pytest.approx(
+            float(theory), abs=1e-12)
 
     def test_three_state_accepts_noise_after_encoding(self, capsys):
         code, stdout, _ = run_cli(
@@ -191,18 +226,41 @@ class TestFit:
         assert float(k_hat) == pytest.approx(-1.0, abs=1e-6)
         assert float(s_hat) == pytest.approx(math.log2(3.0) - 1.51006, abs=1e-3)
 
-    @pytest.mark.parametrize("flags", [
-        ["--c-aa", "0.5"],
-        ["--scheme", "FOUR_STATE", "--noise-order", "NOISE_AFTER_ENCODING"],
-        ["--priors", "0.8,0.1,0.1"],
-    ])
-    def test_refuses_channel_outside_closed_form(self, flags, tmp_path, capsys):
+    def test_refuses_non_uniform_priors(self, tmp_path, capsys):
         data = tmp_path / "points.csv"
         data.write_text("0.2,1.2\n0.5,1.3\n0.9,1.6\n")
-        code, stdout, stderr = run_cli(["fit", "--in", str(data), *flags], capsys)
+        code, stdout, stderr = run_cli(
+            ["fit", "--in", str(data), "--priors", "0.8,0.1,0.1"], capsys)
         assert code == 1
         assert stdout == ""
         assert stderr.startswith("error: fit ")
+
+    @pytest.mark.parametrize("regime", [
+        pytest.param("c_bb = 2\n", id="c_bb=2"),
+        pytest.param("c_aa = 0.5\n", id="c_aa=0.5"),
+        pytest.param("scheme = FOUR_STATE\nnoise_order = NOISE_AFTER_ENCODING\n",
+                     id="four_state_after_encoding"),
+        pytest.param("c_aa = 0.7\nc_bb = 1.8\nscheme = FOUR_STATE\n"
+                     "noise_order = NOISE_AFTER_ENCODING\n", id="all"),
+    ])
+    def test_recovers_k_from_born_points(self, regime, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(regime + "k = -0.6\n")
+        cfg = parse_config(cfg_path.read_text())
+        rows = ["kappa_abs,mi"]
+        for t in np.linspace(0.1, 2.0, 40):
+            table = simulate_protocol(cfg.spectrum, DephasingTimes(t, t), cfg.scheme,
+                                      cfg.noise_order)
+            kappa = abs(decoherence_function(cfg.spectrum, t))
+            rows.append(f"{kappa!r},{mutual_information(cfg.scheme, table, 0.05)!r}")
+        data = tmp_path / "points.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code, stdout, stderr = run_cli(
+            ["fit", "--config", str(cfg_path), "--in", str(data)], capsys)
+        assert code == 0 and stderr == ""
+        k_hat, s_hat = (float(v) for v in stdout.splitlines()[1].split(",")[:2])
+        assert k_hat == pytest.approx(-0.6, abs=1e-3)
+        assert s_hat == pytest.approx(0.05, abs=1e-3)
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, stdout, stderr = run_cli(
@@ -248,6 +306,15 @@ class TestTomo:
         code, _, stderr = run_cli(["tomo", "--in", str(path)], capsys)
         assert code == 1
         assert "16" in stderr
+
+    @pytest.mark.parametrize("bad", ["nan", "-5"])
+    def test_rejects_non_finite_or_negative_counts(self, bad, tmp_path, capsys):
+        path = tmp_path / "counts.txt"
+        path.write_text(" ".join(["100"] * 15 + [bad]) + "\n")
+        code, stdout, stderr = run_cli(["tomo", "--in", str(path)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: counts must be finite and non-negative")
 
 
 class TestErrors:

@@ -271,6 +271,27 @@ class TestNonMarkovianity:
         with pytest.raises(ValueError):
             non_markovianity(bad, -0.5)
 
+    @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-1.0, 0.0),
+           st.floats(0.2, 2.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_trace_distance_backflow(self, c_aa, c_bb, k, dn, sign, t_a):
+        # Breuer-Laine-Piilo measure: the largest trace distance of the dephased
+        # Phi+/Phi- pair over the receiver time t_b, less its value |kappa| at
+        # t_b = 0.  The optimum t_b* = -k sqrt(c_aa / c_bb) t_a is on the grid.
+        spec = JointSpectrum(c_aa=c_aa, c_bb=c_bb, k=k, delta_n=sign * dn)
+        ratio = math.sqrt(c_aa / c_bb)
+        grid = np.union1d(np.linspace(0.0, 2.0 * ratio * t_a, 101), [-k * ratio * t_a])
+        pair = bell_state(BellLabel.PHI_PLUS) - bell_state(BellLabel.PHI_MINUS)
+
+        def distance(t_b):
+            diff = pair * dephasing_mask(spec, DephasingTimes(t_a, t_b))
+            return 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+
+        kappa = abs(decoherence_function(spec, t_a))
+        assert distance(0.0) == pytest.approx(kappa, abs=1e-12)
+        backflow = max(distance(t_b) for t_b in grid) - kappa
+        assert backflow == pytest.approx(non_markovianity(kappa, k), abs=1e-12)
+
 
 class TestCapacityFromNonMarkovianity:
     def test_zero_backflow_matches_uncorrelated_capacity(self):

@@ -1,5 +1,6 @@
 """Tests for counting statistics, fitting, tomography and sweeps."""
 
+import functools
 import math
 
 import numpy as np
@@ -47,7 +48,7 @@ from densecoding.experiment import (
     _rss_surface,
     _tomography_probabilities,
 )
-from densecoding.protocol import _mi3_from_x, _mi4_from_x
+from densecoding.protocol import _mi_curve
 from densecoding.states import _validate_states
 
 THREE = EncodingScheme.three_state()
@@ -313,6 +314,13 @@ class TestReconstruction:
                 good += 1
         assert good >= 95
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+    def test_rejects_non_finite_or_negative_counts(self, bad):
+        counts = expected_tomography_counts(bell_state(BellLabel.PHI_PLUS), 1e4)
+        counts[3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            reconstruct_linear_inversion(counts, 1e4)
+
 
 class TestRunSweep:
     def test_flat_theory_curve_at_perfect_anticorrelation(self):
@@ -506,16 +514,18 @@ def _seeded_fit_points(seed, variant):
 
 class TestRssProfile:
     @given(st.sampled_from(list(SchemeVariant)), st.integers(2, 500),
-           st.integers(0, 2**32 - 1))
+           st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.3, 2.5]),
+           st.sampled_from(list(NoiseOrder)))
     @settings(max_examples=12, deadline=None)
-    def test_equals_direct_surface_on_the_coarse_grid(self, variant, n, seed):
+    def test_equals_direct_surface_on_the_coarse_grid(self, variant, n, seed, ratio, order):
         rng = np.random.default_rng(seed)
-        model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
+        model = functools.partial(_mi_curve, variant=variant, variance_ratio=ratio,
+                                  noise_order=order)
         kappas = 1.0 - rng.uniform(0.0, 1.0, n)
         # Tiny kappas put the four-state model exactly on s = 1 for most k.
         kappas[rng.random(n) < 0.1] = 1e-9
         mis = rng.uniform(0.0, 2.0, n)
-        f = model(kappas ** (2.0 + 2.0 * COARSE_K[rng.integers(COARSE_K.size)]))
+        f = model(kappas, COARSE_K[rng.integers(COARSE_K.size)])
         exact = rng.random(n) < 0.3
         mis[exact] = f[exact]
         # Model values added to the s grid, so some f lie exactly on a cell.
@@ -530,7 +540,8 @@ class TestRssProfile:
         # value has RSS exactly 0, on many k rows.
         kappas = np.linspace(0.05, 0.3, 12)
         mis = np.zeros(kappas.size)
-        profile, _ = _rss_profile(kappas, mis, _mi3_from_x, COARSE_K, COARSE_S)
+        model = functools.partial(_mi_curve, variant=SchemeVariant.THREE_STATE)
+        profile, _ = _rss_profile(kappas, mis, model, COARSE_K, COARSE_S)
         zeros = np.nonzero(profile == 0.0)
         assert np.unique(zeros[0]).size > 10 and np.unique(zeros[1]).size > 10
         # Golden values, from a search that evaluated the whole coarse grid.

@@ -19,7 +19,6 @@ from densecoding import (
     binary_entropy,
     capacity_bob_noise,
     capacity_pre_encoding,
-    closed_form_applies,
     closed_form_mi,
     closed_form_mi3,
     closed_form_mi4,
@@ -31,6 +30,7 @@ from densecoding import (
     mutual_information,
     simulate_protocol,
 )
+from densecoding.protocol import _mi3_from_x, _mi4_from_x, _mi_curve
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -131,6 +131,17 @@ class TestConditionalProbabilities:
         assert back.inputs == table.inputs
         assert back.outputs == table.outputs
         np.testing.assert_allclose(back.p_y_given_x, table.p_y_given_x, atol=1e-16)
+
+    def test_csv_missing_cell_is_named(self):
+        lines = conditional_probabilities(THREE, 0.37).to_csv().splitlines()
+        text = "\n".join(line for line in lines if line != "PHI_MINUS,PSI_PLUS,0") + "\n"
+        with pytest.raises(ValueError, match=r"missing cells: \(PHI_MINUS, PSI_PLUS\)"):
+            ConditionalTable.from_csv(text)
+
+    def test_csv_repeated_cell_is_named(self):
+        text = conditional_probabilities(THREE, 0.37).to_csv() + "PSI_PLUS,PSI_MINUS,0.5\n"
+        with pytest.raises(ValueError, match=r"repeated cell \(PSI_PLUS, PSI_MINUS\)"):
+            ConditionalTable.from_csv(text)
 
 
 class TestMutualInformation:
@@ -234,6 +245,13 @@ class TestClosedForms:
         assert closed_form_mi4(kappa, k) == pytest.approx(
             2.0 - binary_entropy((1.0 + x) / 2.0), abs=1e-12)
 
+    @pytest.mark.parametrize("gap", [1e-11, 9.9e-13, 1e-13, 2.0 ** -52])
+    def test_three_state_form_holds_next_to_full_visibility(self, gap):
+        x = 1.0 - gap
+        table = conditional_probabilities(THREE, x)
+        assert float(_mi3_from_x(x)) == pytest.approx(mutual_information(THREE, table),
+                                                      abs=1e-14)
+
     def test_monotone_in_visibility(self):
         xs = np.linspace(0.0, 1.0, 200)
         mi3 = [closed_form_mi3(x, 0.0) for x in np.sqrt(xs)]  # x = kappa^2 at k=0
@@ -308,31 +326,40 @@ class TestSimulateProtocol:
         np.testing.assert_allclose(table.p_y_given_x.sum(axis=1), 1.0, atol=1e-12)
 
 
-class TestClosedFormApplies:
-    @given(st.floats(0.2, 3.0), st.floats(-1.0, 1.0), st.floats(-1.5, 1.5),
-           st.floats(-3.0, 3.0), st.floats(0.0, 2.5), st.sampled_from(list(SchemeVariant)),
-           st.sampled_from(list(NoiseOrder)))
-    @settings(max_examples=80, deadline=None)
-    def test_closed_form_is_born_rule_where_it_applies(self, c, k, delta_n, omega0, t,
-                                                       variant, order):
-        spec = JointSpectrum(omega0=omega0, c_aa=c, c_bb=c, k=k, delta_n=delta_n)
-        assert closed_form_applies(spec, variant, order) == (
-            variant is SchemeVariant.THREE_STATE or order is NoiseOrder.NOISE_BEFORE_ENCODING)
-        if not closed_form_applies(spec, variant, order):
-            return
+class TestMiCurve:
+    @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-1.0, 1.0),
+           st.floats(-2.0, 2.0), st.floats(-3.0, 5.0), st.floats(0.0, 2.0),
+           st.sampled_from(list(SchemeVariant)), st.sampled_from(list(NoiseOrder)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_born_rule_mi(self, c_aa, c_bb, k, delta_n, omega0, t, variant, order):
+        spec = JointSpectrum(omega0=omega0, c_aa=c_aa, c_bb=c_bb, k=k, delta_n=delta_n)
         scheme = EncodingScheme(variant)
         born = mutual_information(
             scheme, simulate_protocol(spec, DephasingTimes(t, t), scheme, order))
         kappa = abs(decoherence_function(spec, t))
-        assert born == pytest.approx(closed_form_mi(variant, kappa, k), abs=1e-10)
+        curve = float(_mi_curve(kappa, k, variant, c_bb / c_aa, order))
+        assert curve == pytest.approx(born, abs=1e-12)
+
+    @pytest.mark.parametrize("variant", list(SchemeVariant))
+    def test_equal_variances_before_encoding_are_the_closed_forms(self, variant):
+        kappas, ks = np.meshgrid(KAPPA_GRID, np.linspace(-1.0, 1.0, 21))
+        curve = _mi_curve(kappas, ks, variant)
+        # At r = 1 the exponent 1 + r + 2 sqrt(r) k is bitwise 2 + 2k.
+        model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
+        np.testing.assert_array_equal(curve, model(kappas ** (2.0 + 2.0 * ks)))
+        closed = [[closed_form_mi(variant, x, k) for x in row] for row, k in zip(kappas, ks[:, 0])]
+        np.testing.assert_allclose(curve, closed, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("spec, order", [
-        (JointSpectrum(c_bb=2.0, k=-0.5), NoiseOrder.NOISE_BEFORE_ENCODING),
-        (JointSpectrum(k=-0.5), NoiseOrder.NOISE_AFTER_ENCODING),
+        pytest.param(JointSpectrum(c_bb=2.0, k=-0.5), NoiseOrder.NOISE_BEFORE_ENCODING,
+                     id="c_bb=2"),
+        pytest.param(JointSpectrum(k=-0.5), NoiseOrder.NOISE_AFTER_ENCODING,
+                     id="after_encoding"),
     ])
-    def test_refuses_where_closed_form_misses(self, spec, order):
-        assert not closed_form_applies(spec, SchemeVariant.FOUR_STATE, order)
+    def test_equal_variance_form_misses_other_regimes(self, spec, order):
         born = mutual_information(FOUR, simulate_protocol(spec, DephasingTimes(1.0, 1.0),
                                                           FOUR, order))
         kappa = abs(decoherence_function(spec, 1.0))
         assert abs(born - closed_form_mi4(kappa, -0.5)) > 0.1
+        curve = _mi_curve(kappa, -0.5, SchemeVariant.FOUR_STATE, spec.c_bb / spec.c_aa, order)
+        assert float(curve) == pytest.approx(born, abs=1e-12)
