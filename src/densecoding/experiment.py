@@ -150,82 +150,42 @@ def estimate_mi_with_errors(table: ConditionalTable, scheme: EncodingScheme,
     return float(mean), float(std)
 
 
-# Entries of the (points, k, s) residual array held at once: a 21 x 21
-# refinement window takes a few hundred points at a time.
-_RSS_CELLS = 1 << 17
-# k rows of the coarse profile per pass, so its temporaries stay near 100 KB.
+# k rows of the RSS profile per pass, so its temporaries stay near 100 KB.
 _PROFILE_ROWS = 16
 # Moves of a refinement window along a valley before it stops regardless.
 _MAX_WINDOW_MOVES = 100
 
 
-def _rss_surface(kappas: np.ndarray, mis: np.ndarray, curve,
-                 k_grid: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """Residual sum of squares of the model curve(kappa, k) over a (k, s) grid."""
-    chunk = max(1, _RSS_CELLS // (k_grid.size * s_grid.size))
-    rss = np.zeros((k_grid.size, s_grid.size))
-    for lo in range(0, kappas.size, chunk):
-        f = curve(kappas[lo:lo + chunk, None], k_grid)
-        resid = f[:, :, None] - s_grid
-        np.maximum(resid, 0.0, out=resid)
-        resid -= mis[lo:lo + chunk, None, None]
-        rss += np.einsum("pks,pks->ks", resid, resid)
-    return rss
+def _best_offsets(kappas: np.ndarray, mis: np.ndarray, curve,
+                  k_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares offset s >= 0 for each k, and the RSS at that offset.
 
-
-def _rss_profile(kappas: np.ndarray, mis: np.ndarray, curve,
-                 k_grid: np.ndarray, s_grid: np.ndarray) -> tuple[np.ndarray, float]:
-    """RSS over a (k, s) grid, and the largest k row's sum(d^2) + sum(m^2).
-
-    For fixed k, RSS(s) sums (f - s - m)^2 over f > s and m^2 over the rest,
-    so with f sorted, running sums of d^2, d (d = f - m) and m^2 give every
-    s by one searchsorted."""
-    profile = np.empty((k_grid.size, s_grid.size))
-    scale = 0.0
+    For fixed k, RSS(s) sums (f - s - m)^2 over f > s and m^2 over the rest.
+    Between consecutive sorted model values f it is one quadratic in s, and
+    past the largest f it is the constant sum of m^2.  Running sums of d^2
+    and d (d = f - m) above each piece and of m^2 below it give every
+    piece's minimiser, clipped to its interval; the least s of least value
+    is kept, and the row's RSS is summed directly at it."""
+    s_hat = np.empty(k_grid.size)
+    rss = np.empty(k_grid.size)
+    above = kappas.size - np.arange(kappas.size + 1)  # points with f > s, piece by piece
     for lo in range(0, k_grid.size, _PROFILE_ROWS):
         f = curve(kappas, k_grid[lo:lo + _PROFILE_ROWS, None])
         order = np.argsort(f, axis=1)
-        f, m = np.take_along_axis(f, order, axis=1), mis[order]
-        sums = np.pad(np.cumsum([(f - m) ** 2, f - m, m * m], axis=-1), ((0, 0), (0, 0), (1, 0)))
-        # side="right": max(f - s, 0) puts f == s with the points below s.
-        j = np.stack([np.searchsorted(row, s_grid, side="right") for row in f])
-        d2_below, d_below, m2_below = np.take_along_axis(sums, j[None], axis=-1)
-        d2_total, d_total, m2_total = sums[..., -1:]
-        profile[lo:lo + f.shape[0]] = (d2_total - d2_below - 2.0 * s_grid * (d_total - d_below)
-                                       + s_grid * s_grid * (kappas.size - j) + m2_below)
-        scale = max(scale, float(np.max(d2_total + m2_total)))
-    return profile, scale
-
-
-def _coarse_surface(kappas: np.ndarray, mis: np.ndarray, curve,
-                    k_grid: np.ndarray, s_grid: np.ndarray) -> np.ndarray:
-    """RSS over a (k, s) grid: exact on the cells the profile puts near its
-    minimum, +inf elsewhere, so ties break as on the fully evaluated grid."""
-    surface, scale = _rss_profile(kappas, mis, curve, k_grid, s_grid)
-    near = surface <= surface.min() + 1e-9 * (1.0 + scale)
-    rows, cols = (slice(i.min(), i.max() + 1) for i in np.nonzero(near))
-    exact = _rss_surface(kappas, mis, curve, k_grid[rows], s_grid[cols])
-    surface.fill(np.inf)
-    surface[rows, cols] = np.where(near[rows, cols], exact, np.inf)
-    return surface
-
-
-def _pick_minimum(rss: np.ndarray, k_grid: np.ndarray, s_grid: np.ndarray,
-                  ) -> tuple[float, float, float]:
-    """Grid point of least RSS; ties go to smaller |k|, then smaller s."""
-    best = rss.min()
-    ii, jj = np.nonzero(rss == best)
-    pick = np.lexsort((s_grid[jj], np.abs(k_grid[ii])))[0]
-    return float(k_grid[ii[pick]]), float(s_grid[jj[pick]]), float(best)
-
-
-def _centered_grid(center: float, step: float, lo: float, hi: float) -> np.ndarray:
-    return np.unique(np.clip(center + step * np.arange(-10, 11), lo, hi))
-
-
-def _on_inner_edge(value: float, grid: np.ndarray, lo: float, hi: float) -> bool:
-    """Whether value is an end of the window that is not a bound of the search."""
-    return (value == grid[0] and grid[0] > lo) or (value == grid[-1] and grid[-1] < hi)
+        # At s >= 0, max(f - s, 0) is the same for f and max(f, 0): pieces start at 0.
+        f_sorted, m = np.maximum(np.take_along_axis(f, order, axis=1), 0.0), mis[order]
+        d = f_sorted - m
+        d2_above, d_above = np.pad(np.cumsum(np.stack([d * d, d])[..., ::-1], axis=-1),
+                                   ((0, 0), (0, 0), (1, 0)))[..., ::-1]
+        m2_below = np.pad(np.cumsum(m * m, axis=-1), ((0, 0), (1, 0)))
+        ends = np.pad(f_sorted, ((0, 0), (1, 1)), constant_values=(0.0, np.inf))
+        s = np.clip(d_above / np.maximum(above, 1), ends[:, :-1], ends[:, 1:])
+        value = d2_above - 2.0 * s * d_above + above * s * s + m2_below
+        s = np.take_along_axis(s, np.argmin(value, axis=1)[:, None], axis=1)
+        resid = np.maximum(f - s, 0.0) - mis
+        s_hat[lo:lo + f.shape[0]] = s[:, 0]
+        rss[lo:lo + f.shape[0]] = np.einsum("kp,kp->k", resid, resid)
+    return s_hat, rss
 
 
 def fit_k_s(points, variant: SchemeVariant, variance_ratio: float = 1.0,
@@ -234,16 +194,15 @@ def fit_k_s(points, variant: SchemeVariant, variance_ratio: float = 1.0,
 
     The model is the uniform-prior MI at equal stage times, minus s, for the
     ratio r = c_bb / c_aa and the noise order; the defaults are ``closed_form_mi``.
-    Deterministic derivative-free search.  The coarse grid, with steps
-    0.01 in k and 0.001 in s over s in [0, 1], is searched through an exact
-    sorted profile per k (see ``_coarse_surface``).  When its optimum lies
-    on the s = 1 edge, the search is repeated with s up to the largest
-    model value (log2 3 or 2 bits).  Two refinement levels follow that each
-    shrink the steps tenfold.  A level searches a 21 x 21 window around the
-    current optimum and re-centres it while the optimum lies on an edge of
-    the window that is not a bound (k in [-1, 1], s >= 0), so it follows
-    the diagonal valley along which k and s trade off.  Ties are broken
-    toward smaller |k|, then smaller s.
+    Deterministic search over k alone: for each k the offset s >= 0 is
+    exact (see ``_best_offsets``), so no s grid bounds it.  k runs over the
+    multiples of 0.01 in [-1, 1], then over two refinement levels on the
+    lattices of steps 0.001 and 0.0001.  A level searches 21 lattice points
+    around the current optimum and re-centres them while the optimum lies
+    on a window end that is not -1 or 1, so it follows the valley along
+    which k and s trade off.  Ties go to smaller |k|, then smaller s, then
+    smaller k: a curve even in k, as the four-state one after the encoding
+    is, reports k <= 0.
     """
     pts = np.array([(float(k), float(m)) for k, m in points]).reshape(-1, 2)
     if len(pts) < 2:
@@ -258,30 +217,23 @@ def fit_k_s(points, variant: SchemeVariant, variance_ratio: float = 1.0,
     curve = functools.partial(_mi_curve, variant=variant, variance_ratio=variance_ratio,
                               noise_order=noise_order)
 
-    k_step, s_step = 0.01, 0.001
-    k_grid = np.arange(-1.0, 1.0 + k_step / 2, k_step)
-    s_grid = np.arange(0.0, 1.0 + s_step / 2, s_step)
-    k_hat, s_hat, rss = _pick_minimum(
-        _coarse_surface(kappas, mis, curve, k_grid, s_grid), k_grid, s_grid)
-    if s_hat == s_grid[-1]:
-        # Past the largest model value, its value at kappa = 1, the RSS no
-        # longer depends on s, so the widened grid covers every s that counts.
-        s_grid = np.arange(0.0, float(curve(1.0, 0.0)) + s_step, s_step)
-        k_hat, s_hat, rss = _pick_minimum(
-            _coarse_surface(kappas, mis, curve, k_grid, s_grid), k_grid, s_grid)
-
-    for _ in range(2):
-        k_step, s_step = k_step / 10, s_step / 10
+    # k = n / scale for integers n, so a lattice value is the same float on
+    # every level and n and -n give exactly opposite k.
+    lattice, n_hat = np.arange(-100, 101), 0
+    for scale in (100, 1_000, 10_000):
         for _ in range(_MAX_WINDOW_MOVES):
-            k_grid = _centered_grid(k_hat, k_step, -1.0, 1.0)
-            s_grid = _centered_grid(s_hat, s_step, 0.0, math.inf)
-            k_hat, s_hat, rss = _pick_minimum(
-                _rss_surface(kappas, mis, curve, k_grid, s_grid), k_grid, s_grid)
-            if not (_on_inner_edge(k_hat, k_grid, -1.0, 1.0)
-                    or _on_inner_edge(s_hat, s_grid, 0.0, math.inf)):
+            if scale > 100:
+                lattice = np.unique(np.clip(n_hat + np.arange(-10, 11), -scale, scale))
+            k_grid = lattice / scale
+            offsets, rss = _best_offsets(kappas, mis, curve, k_grid)
+            tied = np.flatnonzero(rss == rss.min())
+            best = tied[np.lexsort((k_grid[tied], offsets[tied], np.abs(k_grid[tied])))[0]]
+            n_hat = int(lattice[best])
+            if not (n_hat == lattice[0] > -scale or n_hat == lattice[-1] < scale):
                 break
+        n_hat *= 10
 
-    return FitResult(k_hat, s_hat, rss, kappas.size)
+    return FitResult(float(k_grid[best]), float(offsets[best]), float(rss[best]), kappas.size)
 
 
 # --- linear-inversion tomography -------------------------------------------
@@ -343,7 +295,10 @@ def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
     if not np.all(np.isfinite(counts) & (counts >= 0.0)):
         raise ValueError(f"counts must be finite and non-negative, got {counts}")
-    return validate_density_matrix(_reconstruct(counts / float(n_per_projector)), dim=4)
+    n = float(n_per_projector)
+    if not (math.isfinite(n) and n > 0.0):
+        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
+    return validate_density_matrix(_reconstruct(counts / n), dim=4)
 
 
 def _reconstruct(freq: np.ndarray) -> np.ndarray:

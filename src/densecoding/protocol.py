@@ -320,14 +320,14 @@ def _mi_curve(kappa_abs, k, variant: SchemeVariant, variance_ratio: float = 1.0,
               noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING):
     """Uniform-prior MI in bits, no offset, at equal stage times for broadcastable
     kappa_abs and k, the ratio r = c_bb / c_aa and the noise order (see above).
-    m_psi is capped at 1, for k a rounding error above 1 (the fit's k grid)."""
+    For |k| <= 1 no exponent is negative: fl(1 + r) >= 2 fl(sqrt(r))."""
     root = math.sqrt(variance_ratio)
     m_phi = kappa_abs ** (1.0 + variance_ratio + 2.0 * root * k)
     if variant is SchemeVariant.THREE_STATE:  # Psi+ is never confused
         return _mi3_from_x(m_phi)
     if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING:
         return _mi4_from_x(m_phi)
-    m_psi = np.minimum(kappa_abs ** (1.0 + variance_ratio - 2.0 * root * k), 1.0)
+    m_psi = kappa_abs ** (1.0 + variance_ratio - 2.0 * root * k)
     return (_mi4_from_x(m_phi) + _mi4_from_x(m_psi)) / 2.0
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,18 @@ class TestTomo:
         assert code == 1
         assert stdout == ""
         assert stderr.startswith("error: counts must be finite and non-negative")
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_rejects_non_positive_n_per_projector(self, n, tmp_path, capsys):
+        path = tmp_path / "counts.txt"
+        path.write_text(" ".join(["100"] * 16) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, stderr = run_cli(
+                ["tomo", "--in", str(path), f"--n-per-projector={n}"], capsys)
+        assert code == 1 and stdout == "" and caught == []
+        assert stderr.startswith("error: n_per_projector must be finite and positive")
+        assert stderr.count("\n") == 1
 
 
 class TestErrors:

@@ -43,9 +43,8 @@ from densecoding.experiment import (
     TOMOGRAPHY_SETTINGS,
     _derived_seed,
     _draw_counts,
+    _best_offsets,
     _reconstruct,
-    _rss_profile,
-    _rss_surface,
     _tomography_probabilities,
 )
 from densecoding.protocol import _mi_curve
@@ -321,6 +320,11 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="finite and non-negative"):
             reconstruct_linear_inversion(counts, 1e4)
 
+    @pytest.mark.parametrize("n", [0, -3, 0.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_n_per_projector(self, n):
+        with pytest.raises(ValueError, match="n_per_projector must be finite and positive"):
+            reconstruct_linear_inversion(np.full(16, 100.0), n)
+
 
 class TestRunSweep:
     def test_flat_theory_curve_at_perfect_anticorrelation(self):
@@ -496,9 +500,30 @@ class TestFitValley:
         assert fit.residual_sum_squares <= 1e-12
         assert (fit.k_hat, fit.s_hat) == pytest.approx((-0.9, 1.45), abs=1e-3)
 
+    @pytest.mark.parametrize("k_true, s_true, kappa_max", [(-0.8, 1.35, 0.9), (-1.0, 1.5, 0.8)])
+    def test_reaches_offsets_above_one_bit_from_inside_the_grid(self, k_true, s_true,
+                                                                kappa_max):
+        # The best (k, s) with s <= 1 does not lie on s = 1 here, so a (k, s)
+        # grid widened only from that edge stopped at RSS 0.0061 and 0.019.
+        kappas = np.linspace(0.3, kappa_max, 40)
+        mis = [closed_form_mi3(x, k_true, s_true) for x in kappas]
+        fit = fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE)
+        assert fit.residual_sum_squares <= 1e-12
+        assert (fit.k_hat, fit.s_hat) == pytest.approx((k_true, s_true), abs=1e-3)
 
-COARSE_K = np.arange(-1.0, 1.005, 0.01)
-COARSE_S = np.arange(0.0, 1.0005, 0.001)
+    @pytest.mark.parametrize("ratio", [1.0, 2.5])
+    @pytest.mark.parametrize("k_true", [0.6, -0.6])
+    def test_even_four_state_curve_after_encoding_reports_k_at_most_zero(self, k_true, ratio):
+        # After the encoding the four-state curve is bitwise even in k, so k
+        # and -k tie exactly; the tie goes to the smaller k, on its lattice value.
+        order = NoiseOrder.NOISE_AFTER_ENCODING
+        kappas = np.linspace(0.1, 0.95, 30)
+        mis = _mi_curve(kappas, k_true, SchemeVariant.FOUR_STATE, ratio, order)
+        fit = fit_k_s(zip(kappas, mis), SchemeVariant.FOUR_STATE, ratio, order)
+        assert fit.k_hat == -0.6
+
+
+COARSE_K = np.arange(-100, 101) / 100
 
 
 def _seeded_fit_points(seed, variant):
@@ -517,45 +542,38 @@ class TestRssProfile:
            st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.3, 2.5]),
            st.sampled_from(list(NoiseOrder)))
     @settings(max_examples=12, deadline=None)
-    def test_equals_direct_surface_on_the_coarse_grid(self, variant, n, seed, ratio, order):
+    def test_offsets_match_a_dense_s_scan(self, variant, n, seed, ratio, order):
         rng = np.random.default_rng(seed)
         model = functools.partial(_mi_curve, variant=variant, variance_ratio=ratio,
                                   noise_order=order)
         kappas = 1.0 - rng.uniform(0.0, 1.0, n)
-        # Tiny kappas put the four-state model exactly on s = 1 for most k.
+        # Tiny kappas put many model values at the same end of the curve.
         kappas[rng.random(n) < 0.1] = 1e-9
         mis = rng.uniform(0.0, 2.0, n)
-        f = model(kappas, COARSE_K[rng.integers(COARSE_K.size)])
+        k_grid = np.concatenate([rng.uniform(-1.0, 1.0, 5), [-1.0, 0.0, 1.0]])
+        f = model(kappas, k_grid[rng.integers(k_grid.size)])
         exact = rng.random(n) < 0.3
         mis[exact] = f[exact]
-        # Model values added to the s grid, so some f lie exactly on a cell.
-        s_grid = np.union1d(COARSE_S, f[(f <= 1.0) & exact])
-        profile, scale = _rss_profile(kappas, mis, model, COARSE_K, s_grid)
-        direct = _rss_surface(kappas, mis, model, COARSE_K, s_grid)
-        np.testing.assert_allclose(profile, direct, rtol=0.0, atol=1e-9)
-        assert scale >= direct[:, 0].max()
+        s_hat, rss = _best_offsets(kappas, mis, model, k_grid)
+        assert np.all(s_hat >= 0.0)
+        for k, s, value in zip(k_grid, s_hat, rss):
+            f = model(kappas, k)
+            # Every model value is on the scan, so every piece's ends are too.
+            scan = np.union1d(np.linspace(0.0, 2.5, 2501), f[f >= 0.0])
+            resid = np.maximum(f - scan[:, None], 0.0) - mis
+            assert value <= np.einsum("sp,sp->s", resid, resid).min() + 1e-12
+            resid = np.maximum(f - s, 0.0) - mis
+            assert value == pytest.approx(resid @ resid, rel=1e-12, abs=1e-15)
 
-    def test_exact_ties_break_as_on_the_full_grid(self, monkeypatch):
-        # MI = 0 everywhere: every cell with s at or above the largest model
-        # value has RSS exactly 0, on many k rows.
+    def test_exact_ties_break_as_on_the_full_grid(self):
+        # MI = 0 everywhere: every k has RSS exactly 0 with s at or above its
+        # largest model value.  Ties go to smaller |k|, then smaller s.
         kappas = np.linspace(0.05, 0.3, 12)
         mis = np.zeros(kappas.size)
         model = functools.partial(_mi_curve, variant=SchemeVariant.THREE_STATE)
-        profile, _ = _rss_profile(kappas, mis, model, COARSE_K, COARSE_S)
-        zeros = np.nonzero(profile == 0.0)
-        assert np.unique(zeros[0]).size > 10 and np.unique(zeros[1]).size > 10
-        # Golden values, from a search that evaluated the whole coarse grid.
-        expected = experiment.FitResult(8.881784197001252e-16, 0.9222, 0.0, 12)
-        assert fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE) == expected
-
-        # The profile only nominates cells: rounding it differently, here by
-        # up to 1e-12, must not move the fit.
-        def perturbed(*args):
-            profile, scale = _rss_profile(*args)
-            noise = np.random.default_rng(0).uniform(-1e-12, 1e-12, profile.shape)
-            return profile + noise, scale
-
-        monkeypatch.setattr(experiment, "_rss_profile", perturbed)
+        _, rss = _best_offsets(kappas, mis, model, COARSE_K)
+        assert np.count_nonzero(rss == 0.0) > 10
+        expected = experiment.FitResult(0.0, float(model(kappas, 0.0).max()), 0.0, 12)
         assert fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE) == expected
 
     @pytest.mark.parametrize("seed,variant,expected", [
@@ -565,9 +583,14 @@ class TestRssProfile:
         (3, SchemeVariant.THREE_STATE, (-0.4931999999999995, 0.03986, 0.025823283331395632)),
     ])
     def test_fit_matches_the_full_grid_search(self, seed, variant, expected):
-        # Golden values, from a search that evaluated the whole coarse grid.
+        # Values from a search that evaluated the whole (k, s) grid with steps
+        # 0.01 and 0.001; the exact offsets reach them or better.
+        k_grid, s_grid, rss_grid = expected
         fit = fit_k_s(_seeded_fit_points(seed, variant), variant)
-        assert fit == experiment.FitResult(*expected, 1000)
+        assert fit.residual_sum_squares <= rss_grid
+        assert fit.k_hat == pytest.approx(k_grid, abs=1e-3)
+        assert fit.s_hat == pytest.approx(s_grid, abs=1e-3)
+        assert fit.n_points == 1000
 
 
 class TestFitOnMonteCarloData:

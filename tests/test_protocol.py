@@ -350,6 +350,18 @@ class TestMiCurve:
         closed = [[closed_form_mi(variant, x, k) for x in row] for row, k in zip(kappas, ks[:, 0])]
         np.testing.assert_allclose(curve, closed, rtol=0.0, atol=1e-15)
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SchemeVariant)),
+           st.sampled_from(list(NoiseOrder)))
+    @settings(max_examples=40, deadline=None)
+    def test_finite_at_both_ends_of_k(self, seed, variant, order):
+        # fl(1 + r) >= 2 fl(sqrt(r)), so no exponent goes negative at k = -1 or 1.
+        rng = np.random.default_rng(seed)
+        kappas = np.concatenate([rng.uniform(0.0, 1.0, 50), [1e-300, 0.5, 1.0]])
+        kappas[kappas == 0.0] = 1.0
+        for ratio in np.exp(rng.uniform(-20.0, 20.0, 50)).tolist() + [1.0, 0.3, 2.5]:
+            curve = _mi_curve(kappas, np.array([[-1.0], [1.0]]), variant, ratio, order)
+            assert np.all(np.isfinite(curve)), ratio
+
     @pytest.mark.parametrize("spec, order", [
         pytest.param(JointSpectrum(c_bb=2.0, k=-0.5), NoiseOrder.NOISE_BEFORE_ENCODING,
                      id="c_bb=2"),
