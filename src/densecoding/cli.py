@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import sys
 from pathlib import Path
@@ -22,12 +21,12 @@ if __name__ == "__main__":  # ``python -m densecoding.cli``; before numpy loads 
 from .config import CONFIG_DEFAULTS, ConfigError, RunConfig, build_config, tokenize_config
 from .environment import DephasingTimes, decoherence_function
 from .experiment import (
+    _sweep_csv,
+    _sweep_values,
     estimate_mi_with_errors,
     fit_k_s,
     fit_result_to_csv,
     reconstruct_linear_inversion,
-    run_sweep,
-    sweep_rows_to_csv,
 )
 from .protocol import mutual_information, simulate_protocol
 from .states import concurrence, density_matrix_to_text
@@ -100,9 +99,10 @@ def _emit(text: str, args: argparse.Namespace, cfg: RunConfig) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    rows = run_sweep(cfg.spectrum, cfg.time_grid, cfg.scheme, cfg.n_per_input,
-                     cfg.trials, cfg.seed, cfg.s, cfg.noise_order)
-    _emit(sweep_rows_to_csv(rows), args, cfg)
+    # The run_sweep columns, written from the stacked array: no SweepRow per row.
+    values = _sweep_values(cfg.spectrum, cfg.time_grid, cfg.scheme, cfg.n_per_input,
+                           cfg.trials, cfg.seed, cfg.s, cfg.noise_order).tolist()
+    _emit(_sweep_csv(values, [cfg.scheme.variant.value] * len(values)), args, cfg)
     return 0
 
 
@@ -124,12 +124,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     mean, std = estimate_mi_with_errors(table, cfg.scheme, cfg.n_per_input,
                                         cfg.trials, cfg.seed)
     theory = mutual_information(cfg.scheme, table, cfg.s)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["kappa_abs", "mi_theory", "mi_mc_mean", "mi_mc_std"])
-    writer.writerow([f"{kappa_abs:.17g}", f"{theory:.17g}",
-                     f"{max(0.0, mean - cfg.s):.17g}", f"{std:.17g}"])
-    _emit(buf.getvalue(), args, cfg)
+    _emit(f"kappa_abs,mi_theory,mi_mc_mean,mi_mc_std\n{kappa_abs:.17g},{theory:.17g},"
+          f"{max(0.0, mean - cfg.s):.17g},{std:.17g}\n", args, cfg)
     return 0
 
 

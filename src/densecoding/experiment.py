@@ -2,16 +2,14 @@
 
 Everything random is driven by explicit integer seeds through
 ``numpy.random.default_rng``.  A bootstrap draws all its trials from one
-stream; sweep row i bootstraps from its own stream, derived from
-(seed, i) with ``SeedSequence``, so a row's values do not depend on which
-other rows are computed with it.
+stream, and a sweep draws all its rows from one stream, in row order: a
+prefix of the time grid gives a prefix of the rows, and the block size
+moves no byte, but a row's bootstrap depends on the rows before it.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -90,35 +88,28 @@ class FitResult:
     n_points: int
 
 
-def _derived_seed(*parts: int) -> int:
-    """Deterministic child seed from a tuple of integers."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
-
-
 def sample_counts(table: ConditionalTable, n_per_input: int, seed: int) -> CountTable:
     """Draw one multinomial shot table from the model probabilities.
 
     Each input symbol receives ``n_per_input`` shots; identical arguments
     give identical counts.
     """
-    counts = _draw_counts(table.p_y_given_x, n_per_input, 1, seed)[0]
+    counts = _draw_counts(table.p_y_given_x, n_per_input, 1, np.random.default_rng(seed))[0]
     return CountTable(table.inputs, table.outputs, counts, n_per_input)
 
 
-def _draw_counts(p: np.ndarray, n_per_input: int, trials: int, seeds) -> np.ndarray:
-    """Count tables (tables, trials, inputs, outcomes) for p(y|x) tables
-    (tables, inputs, outcomes), clipped and normalised as one stack.  Table j
-    takes one multinomial call on the stream of seeds[j], consumed trial by
-    trial, input by input.  One table and one int seed give (trials, inputs,
-    outcomes)."""
+def _draw_counts(p: np.ndarray, n_per_input: int, trials: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Count tables (..., trials, inputs, outcomes) for p(y|x) tables
+    (..., inputs, outcomes), clipped and normalised as one stack.  One
+    multinomial call on rng, consumed table by table, trial by trial, input
+    by input, so a stack draws what its tables drawn in turn would."""
     if n_per_input <= 0:
         raise ValueError(f"n_per_input must be positive, got {n_per_input}")
-    if np.ndim(p) == 2:
-        return _draw_counts(np.asarray(p)[None], n_per_input, trials, [seeds])[0]
     p = np.clip(p, 0.0, None)
     p /= p.sum(axis=-1, keepdims=True)
-    return np.stack([np.random.default_rng(seed).multinomial(
-        n_per_input, q, size=(trials, q.shape[0])) for q, seed in zip(p, seeds)])
+    return rng.multinomial(n_per_input, p[..., None, :, :],
+                           size=p.shape[:-2] + (trials, p.shape[-2]))
 
 
 def _bootstrap_stats(priors: np.ndarray, counts: np.ndarray,
@@ -145,7 +136,7 @@ def estimate_mi_with_errors(table: ConditionalTable, scheme: EncodingScheme,
         raise ValueError(f"trials must be at least 2, got {trials}")
     if table.inputs != scheme.alphabet:
         raise ValueError("table inputs do not match the scheme alphabet")
-    counts = _draw_counts(table.p_y_given_x, n_per_input, trials, seed)
+    counts = _draw_counts(table.p_y_given_x, n_per_input, trials, np.random.default_rng(seed))
     mean, std = _bootstrap_stats(np.asarray(scheme.priors), counts, n_per_input)
     return float(mean), float(std)
 
@@ -314,8 +305,9 @@ def _reconstruct(freq: np.ndarray) -> np.ndarray:
 
 
 # Bootstrap count tables (rows x trials) per block of stacked rows, so 128
-# rows at two trials.  Blocks bound memory only: no value of a row depends
-# on the other rows of its block.
+# rows at two trials.  Blocks bound memory only: the one generator runs on
+# from block to block in row order, and nothing else of a row depends on
+# the other rows of its block.
 _TABLES_PER_BLOCK = 256
 
 
@@ -332,15 +324,22 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     subtracted from the bootstrap mean so the column models the measured
     mutual information the theory column is fitted to.
 
-    Row i equals the scalar route at its t: ``evolve_pre_encoding``,
-    ``expected_tomography_counts``, ``reconstruct_linear_inversion`` and
-    ``concurrence``; ``simulate_protocol`` and ``mutual_information``; and
-    ``estimate_mi_with_errors`` with seed ``_derived_seed(seed, i)``.  Rows
-    are computed as stacked arrays, a block at a time; a block's tables are
-    normalised once, as one stack.  The arguments and the Born tables are
-    checked; the density-matrix stacks built here are states by
-    construction and are not validated again.
+    Row i's first four columns equal the scalar route at its t (the
+    tomography round trip, ``simulate_protocol``, ``mutual_information``).
+    One generator, ``default_rng(seed)``, draws ``trials`` count tables for
+    each row in turn, a block of rows per multinomial call: a prefix of the
+    grid gives a prefix of the rows, but a sweep of ``grid[5:]`` is not rows
+    5.. of the sweep of ``grid``.  The arguments and the Born tables are
+    checked; the density-matrix stacks built here are states by construction.
     """
+    values = _sweep_values(spec, time_grid, scheme, n_per_input, trials, seed, s, noise_order)
+    return [SweepRow(*row, scheme.variant) for row in values.tolist()]
+
+
+def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
+                  n_per_input: int, trials: int, seed: int, s: float,
+                  noise_order: NoiseOrder) -> np.ndarray:
+    """The six float columns of :func:`run_sweep`, one row per t: (rows, 6)."""
     grid = np.array([float(t) for t in time_grid])
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise ValueError(f"time grid must be non-empty, finite and non-negative: {grid}")
@@ -352,8 +351,9 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         raise ValueError(f"s must be non-negative, got {s}")
     priors = np.asarray(scheme.priors)
     n = float(n_per_input)
+    rng = np.random.default_rng(seed)
     block = max(1, _TABLES_PER_BLOCK // trials)
-    rows = []
+    blocks = []
     for start in range(0, grid.size, block):
         t = grid[start:start + block]
         kappa = _characteristic_function(spec, spec.delta_n * t, 0.0)
@@ -365,33 +365,28 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         conc = _concurrences(_reconstruct(counts / n))
         tables = _checked_probabilities(_born_tables(spec, t, t, scheme, noise_order))
         theory = np.maximum(0.0, _mi_bits(priors, tables) - s)
-        draws = _draw_counts(tables, n_per_input, trials,
-                             [_derived_seed(seed, i) for i in range(start, start + t.size)])
-        mean, std = _bootstrap_stats(priors, draws, n_per_input)
-        rows.extend(SweepRow(*values, scheme.variant) for values in zip(
-            t.tolist(), kappa_abs.tolist(), conc.tolist(), theory.tolist(),
-            np.maximum(0.0, mean - s).tolist(), std.tolist()))
-    return rows
+        mean, std = _bootstrap_stats(priors, _draw_counts(tables, n_per_input, trials, rng),
+                                     n_per_input)
+        blocks.append(np.stack([t, kappa_abs, conc, theory, np.maximum(0.0, mean - s), std],
+                               axis=1))
+    return np.concatenate(blocks)
+
+
+def _sweep_csv(values, schemes) -> str:
+    """Sweep CSV text of rows of six floats and each row's scheme name."""
+    return "t_a,kappa_abs,concurrence,mi_theory,mi_mc_mean,mi_mc_std,scheme\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % (*row, name)
+        for row, name in zip(values, schemes))
 
 
 def sweep_rows_to_csv(rows) -> str:
     """Sweep CSV with header t_a,kappa_abs,concurrence,mi_theory,mi_mc_mean,mi_mc_std,scheme."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t_a", "kappa_abs", "concurrence", "mi_theory",
-                     "mi_mc_mean", "mi_mc_std", "scheme"])
-    for r in rows:
-        writer.writerow([f"{r.t_a:.17g}", f"{r.kappa_abs:.17g}", f"{r.concurrence:.17g}",
-                         f"{r.mi_theory:.17g}", f"{r.mi_mc_mean:.17g}",
-                         f"{r.mi_mc_std:.17g}", r.scheme.value])
-    return buf.getvalue()
+    rows = list(rows)
+    return _sweep_csv([(r.t_a, r.kappa_abs, r.concurrence, r.mi_theory, r.mi_mc_mean,
+                        r.mi_mc_std) for r in rows], [r.scheme.value for r in rows])
 
 
 def fit_result_to_csv(result: FitResult) -> str:
     """Fit CSV with header k_hat,s_hat,rss,n_points."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k_hat", "s_hat", "rss", "n_points"])
-    writer.writerow([f"{result.k_hat:.17g}", f"{result.s_hat:.17g}",
-                     f"{result.residual_sum_squares:.17g}", result.n_points])
-    return buf.getvalue()
+    return (f"k_hat,s_hat,rss,n_points\n{result.k_hat:.17g},{result.s_hat:.17g},"
+            f"{result.residual_sum_squares:.17g},{result.n_points}\n")

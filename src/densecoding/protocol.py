@@ -319,15 +319,20 @@ def closed_form_mi4(kappa_abs: float, k: float, s: float = 0.0) -> float:
 def _mi_curve(kappa_abs, k, variant: SchemeVariant, variance_ratio: float = 1.0,
               noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING):
     """Uniform-prior MI in bits, no offset, at equal stage times for broadcastable
-    kappa_abs and k, the ratio r = c_bb / c_aa and the noise order (see above).
-    For |k| <= 1 no exponent is negative: fl(1 + r) >= 2 fl(sqrt(r))."""
+    kappa_abs in (0, 1] and k, the ratio r = c_bb / c_aa and the noise order
+    (see above).  For |k| <= 1 no exponent is negative: fl(1 + r) >= 2 fl(sqrt(r)).
+
+    A visibility is exp(exponent * log kappa_abs), not ``**``: numpy's pow
+    takes another kernel for one or two k rows than for more, and a k row's
+    last bit would depend on the rows evaluated with it."""
     root = math.sqrt(variance_ratio)
-    m_phi = kappa_abs ** (1.0 + variance_ratio + 2.0 * root * k)
+    log_kappa = np.log(kappa_abs)
+    m_phi = np.exp((1.0 + variance_ratio + 2.0 * root * k) * log_kappa)
     if variant is SchemeVariant.THREE_STATE:  # Psi+ is never confused
         return _mi3_from_x(m_phi)
     if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING:
         return _mi4_from_x(m_phi)
-    m_psi = kappa_abs ** (1.0 + variance_ratio - 2.0 * root * k)
+    m_psi = np.exp((1.0 + variance_ratio - 2.0 * root * k) * log_kappa)
     return (_mi4_from_x(m_phi) + _mi4_from_x(m_psi)) / 2.0
 
 

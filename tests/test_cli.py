@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from densecoding import (
     expected_tomography_counts,
     mutual_information,
     parse_config,
+    run_sweep,
     simulate_protocol,
+    sweep_rows_to_csv,
 )
 from densecoding.cli import _build_parser, main
 
@@ -32,6 +35,11 @@ def run_cli(args, capsys):
 
 
 SMALL_SWEEP = "t_list = 0.0, 0.9, 1.905\nn_per_input = 2000\ntrials = 40\n"
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+# The two sweeps of the dense benchmark workload: 1001 rows at two trials.
+DENSE_SWEEP = ("scheme = FOUR_STATE\nk = -0.5\nn_per_input = 10000\ntrials = 2\n"
+               "t_start = 0\nt_stop = 2\nt_step = 0.002\nseed = 1234\n")
 
 
 class TestSweep:
@@ -61,6 +69,25 @@ class TestSweep:
         _, first, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
         _, second, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
         assert first == second
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(DENSE_SWEEP + "c_bb = 2\nnoise_order = NOISE_BEFORE_ENCODING\n",
+                     id="dense_c_bb=2"),
+        pytest.param(DENSE_SWEEP + "noise_order = NOISE_AFTER_ENCODING\n",
+                     id="dense_after_encoding"),
+        pytest.param((DEMO_CONFIGS / "three_state.cfg").read_text(), id="three_state.cfg"),
+        pytest.param("", id="default"),
+    ])
+    def test_bytes_equal_csv_of_run_sweep_rows(self, text, tmp_path, capsys):
+        # The command writes the CSV from stacked columns, not from SweepRows.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, stdout, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == 0
+        c = parse_config(text)
+        rows = run_sweep(c.spectrum, c.time_grid, c.scheme, c.n_per_input, c.trials,
+                         c.seed, c.s, c.noise_order)
+        assert stdout == sweep_rows_to_csv(rows)
 
     def test_override_flags_mirror_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -126,6 +153,21 @@ class TestMc:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--scheme", "FOUR_STATE", "--k", "-0.5", "--c-bb", "2",
+          "--noise-order", "NOISE_AFTER_ENCODING"],
+         "0.72614903707369083,1.1616577650169959,1.1613464925695023,0.015982774927347811"),
+        (["--k", "-0.3", "--priors", "0.5,0.25,0.25"],
+         "0.72614903707369083,1.0255961588866471,1.0198322824870369,0.019201221539572013"),
+    ])
+    def test_bytes_are_pinned(self, flags, expected, capsys):
+        # Output of the release before a sweep drew all its rows from one
+        # generator: mc keeps its bootstrap stream.
+        code, stdout, _ = run_cli(["mc", "--t-a", "0.8", "--n-per-input", "500",
+                                   "--trials", "20", "--seed", "7", *flags], capsys)
+        assert code == 0
+        assert stdout == "kappa_abs,mi_theory,mi_mc_mean,mi_mc_std\n" + expected + "\n"
 
     def test_rejects_out_of_range_kappa(self, capsys):
         code, stdout, stderr = run_cli(["mc", "--kappa-abs", "1.5"], capsys)

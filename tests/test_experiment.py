@@ -1,6 +1,8 @@
 """Tests for counting statistics, fitting, tomography and sweeps."""
 
+import csv
 import functools
+import io
 import math
 
 import numpy as np
@@ -41,7 +43,7 @@ from densecoding.config import build_config
 from densecoding.environment import _pre_encoding_states
 from densecoding.experiment import (
     TOMOGRAPHY_SETTINGS,
-    _derived_seed,
+    _bootstrap_stats,
     _draw_counts,
     _best_offsets,
     _reconstruct,
@@ -94,7 +96,7 @@ class TestSampleCounts:
 
     def test_bootstrap_trial_zero_is_sample_counts(self):
         table = conditional_probabilities(THREE, 0.4)
-        draws = _draw_counts(table.p_y_given_x, 1000, 30, 8)
+        draws = _draw_counts(table.p_y_given_x, 1000, 30, np.random.default_rng(8))
         np.testing.assert_array_equal(draws[0], sample_counts(table, 1000, 8).counts)
         # reference: the plug-in MI of each trial's table, one table at a time
         values = np.array([
@@ -103,17 +105,21 @@ class TestSampleCounts:
         assert estimate_mi_with_errors(table, THREE, 1000, 30, 8) == (
             values.mean(), values.std(ddof=1))
 
-    def test_stack_draws_each_table_from_its_own_seed(self):
+    def test_stack_draws_its_tables_in_turn_from_one_generator(self):
         # rows off 1 by rounding and a tiny negative entry, as Born tables come
         tables = np.stack([conditional_probabilities(FOUR, m).p_y_given_x
                            for m in (0.0, 0.3, 0.9)])
         tables[1, 2] *= 1.0 + 1e-12
         tables[2, 0, 3] = -1e-15
-        seeds = [_derived_seed(4, i) for i in range(3)]
-        draws = _draw_counts(tables, 1000, 5, seeds)
+        draws = _draw_counts(tables, 1000, 5, np.random.default_rng(4))
         assert draws.shape == (3, 5, 4, 4)
-        for p, seed, d in zip(tables, seeds, draws):
-            np.testing.assert_array_equal(d, _draw_counts(p, 1000, 5, seed))
+        rng = np.random.default_rng(4)
+        for p, d in zip(tables, draws):
+            np.testing.assert_array_equal(d, _draw_counts(p, 1000, 5, rng))
+        # a stack of one draws what the table alone draws
+        np.testing.assert_array_equal(
+            _draw_counts(tables[1:2], 1000, 5, np.random.default_rng(4))[0],
+            _draw_counts(tables[1], 1000, 5, np.random.default_rng(4)))
 
 
 class TestEstimateMi:
@@ -383,6 +389,22 @@ class TestRunSweep:
             "t_a,kappa_abs,concurrence,mi_theory,mi_mc_mean,mi_mc_std,scheme")
         assert csv_a.splitlines()[1].endswith("THREE_STATE")
 
+    def test_csv_text_is_csv_writer_of_17_digit_floats(self):
+        # The text the release before the array-written CSV produced.
+        values = [(0.1, 1.0, 1 - 2.0**-53, 1e-300, -0.0, 0.0),
+                  (2, math.inf, math.nan, 5e-324, 1.5849625007211561, 0.016)]
+        rows = [experiment.SweepRow(*v, scheme) for v, scheme in
+                zip(values, (SchemeVariant.THREE_STATE, SchemeVariant.FOUR_STATE))]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t_a", "kappa_abs", "concurrence", "mi_theory",
+                         "mi_mc_mean", "mi_mc_std", "scheme"])
+        for r in rows:
+            writer.writerow([f"{x:.17g}" for x in (r.t_a, r.kappa_abs, r.concurrence,
+                                                   r.mi_theory, r.mi_mc_mean, r.mi_mc_std)]
+                            + [r.scheme.value])
+        assert sweep_rows_to_csv(rows) == buf.getvalue()
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(JointSpectrum(), [], THREE, 100, 10, 0)
@@ -414,12 +436,14 @@ class TestBatchedSweep:
         n, trials = 500, 7
         rows = run_sweep(spec, grid, scheme, n, trials, seed, s, order)
         assert len(rows) == len(grid)
-        for i, (row, t) in enumerate(zip(rows, grid)):
+        tables = [simulate_protocol(spec, DephasingTimes(t, t), scheme, order) for t in grid]
+        # The bootstrap columns: one stacked draw over the whole grid from default_rng(seed).
+        draws = _draw_counts(np.stack([table.p_y_given_x for table in tables]), n, trials,
+                             np.random.default_rng(seed))
+        means, stds = _bootstrap_stats(np.asarray(scheme.priors), draws, n)
+        for row, t, table, mean, std in zip(rows, grid, tables, means, stds):
             counts = expected_tomography_counts(evolve_pre_encoding(spec, t), float(n))
             conc = concurrence(reconstruct_linear_inversion(counts, float(n)))
-            table = simulate_protocol(spec, DephasingTimes(t, t), scheme, order)
-            mean, std = estimate_mi_with_errors(table, scheme, n, trials,
-                                                _derived_seed(seed, i))
             assert row.t_a == t
             assert row.kappa_abs == pytest.approx(abs(decoherence_function(spec, t)), abs=1e-12)
             assert row.concurrence == pytest.approx(conc, abs=1e-12)
@@ -564,6 +588,21 @@ class TestRssProfile:
             assert value <= np.einsum("sp,sp->s", resid, resid).min() + 1e-12
             resid = np.maximum(f - s, 0.0) - mis
             assert value == pytest.approx(resid @ resid, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("variant", list(SchemeVariant))
+    def test_a_k_alone_gets_the_bits_it_gets_in_a_window(self, variant):
+        # A refinement window clipped at k = +-1 leaves one or two k in its
+        # last pass of _PROFILE_ROWS rows; their RSS must not move by an ulp.
+        # Noisy points of the curve at k = 0, where the exponent is 2 at r = 1.
+        rng = np.random.default_rng(11)
+        kappas = rng.uniform(0.05, 1.0, 1000)
+        model = functools.partial(_mi_curve, variant=variant)
+        mis = np.maximum(model(kappas, 0.0) - 0.05, 0.0) + rng.normal(0.0, 0.005, 1000)
+        k_grid = np.arange(-8, 8) / 100
+        s_window, rss_window = _best_offsets(kappas, mis, model, k_grid)
+        for i in range(k_grid.size):
+            s_alone, rss_alone = _best_offsets(kappas, mis, model, k_grid[i:i + 1])
+            assert (s_alone[0], rss_alone[0]) == (s_window[i], rss_window[i])
 
     def test_exact_ties_break_as_on_the_full_grid(self):
         # MI = 0 everywhere: every k has RSS exactly 0 with s at or above its

@@ -346,7 +346,7 @@ class TestMiCurve:
         curve = _mi_curve(kappas, ks, variant)
         # At r = 1 the exponent 1 + r + 2 sqrt(r) k is bitwise 2 + 2k.
         model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
-        np.testing.assert_array_equal(curve, model(kappas ** (2.0 + 2.0 * ks)))
+        np.testing.assert_array_equal(curve, model(np.exp((2.0 + 2.0 * ks) * np.log(kappas))))
         closed = [[closed_form_mi(variant, x, k) for x in row] for row, k in zip(kappas, ks[:, 0])]
         np.testing.assert_allclose(curve, closed, rtol=0.0, atol=1e-15)
 
@@ -361,6 +361,23 @@ class TestMiCurve:
         for ratio in np.exp(rng.uniform(-20.0, 20.0, 50)).tolist() + [1.0, 0.3, 2.5]:
             curve = _mi_curve(kappas, np.array([[-1.0], [1.0]]), variant, ratio, order)
             assert np.all(np.isfinite(curve)), ratio
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SchemeVariant)),
+           st.sampled_from([1.0, 0.3, 2.5]), st.sampled_from(list(NoiseOrder)),
+           st.integers(0, 15))
+    @settings(max_examples=40, deadline=None)
+    def test_a_k_row_does_not_depend_on_the_rows_beside_it(self, seed, variant, ratio, order,
+                                                            where):
+        # numpy's pow takes another kernel for one or two k rows than for
+        # more; the fit evaluates a k alone or inside a window of 16.
+        rng = np.random.default_rng(seed)
+        kappas = rng.uniform(1e-3, 1.0, 333)
+        ks = rng.integers(-100, 101, 16) / 100
+        ks[rng.integers(16)] = 0.0  # at r = 1 the exponent is 2, which ** squares
+        window = _mi_curve(kappas, ks[:, None], variant, ratio, order)
+        for rows in (1, 2):
+            alone = _mi_curve(kappas, ks[where:where + rows, None], variant, ratio, order)
+            np.testing.assert_array_equal(alone, window[where:where + rows])
 
     @pytest.mark.parametrize("spec, order", [
         pytest.param(JointSpectrum(c_bb=2.0, k=-0.5), NoiseOrder.NOISE_BEFORE_ENCODING,
