@@ -12,7 +12,6 @@ import numpy as np
 from densecoding import (
     EncodingScheme,
     JointSpectrum,
-    SchemeVariant,
     fit_k_s,
     run_sweep,
     sweep_rows_to_csv,
@@ -25,8 +24,9 @@ def main():
     k_gen, s_gen = -0.95, 0.0749
     spec = JointSpectrum(k=k_gen)
     grid = np.sqrt(-2.0 * np.log(np.linspace(0.163, 0.95, 8)))[::-1]
+    scheme = EncodingScheme.three_state()
 
-    rows = run_sweep(spec, grid, EncodingScheme.three_state(),
+    rows = run_sweep(spec, grid, scheme,
                      n_per_input=10_000, trials=300, seed=5, s=s_gen)
 
     print(sweep_rows_to_csv(rows))
@@ -35,7 +35,7 @@ def main():
     print()
 
     points = [(row.kappa_abs, row.mi_mc_mean) for row in rows]
-    fit = fit_k_s(points, SchemeVariant.THREE_STATE)
+    fit = fit_k_s(points, scheme)
     print(f"refit of the simulated measurements: k_hat = {fit.k_hat:.4f}, "
           f"s_hat = {fit.s_hat:.4f}  (generator: k = {k_gen}, s = {s_gen})")
     print(f"residual sum of squares = {fit.residual_sum_squares:.3e} "

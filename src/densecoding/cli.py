@@ -77,10 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-    else:
-        text = ""
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     pairs = tokenize_config(text)
     for key in CONFIG_DEFAULTS:
         override = getattr(args, f"cfg_{key}")
@@ -160,11 +157,9 @@ def _read_fit_points(path: str) -> list[tuple[float, float]]:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    if len(set(cfg.scheme.priors)) > 1:
-        raise ValueError("fit models uniform priors only")
     points = _read_fit_points(args.input_path)
     spec = cfg.spectrum
-    result = fit_k_s(points, cfg.scheme.variant, spec.c_bb / spec.c_aa, cfg.noise_order)
+    result = fit_k_s(points, cfg.scheme, spec.c_bb / spec.c_aa, cfg.noise_order)
     _emit(fit_result_to_csv(result), args, cfg)
     return 0
 

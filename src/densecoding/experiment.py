@@ -179,12 +179,12 @@ def _best_offsets(kappas: np.ndarray, mis: np.ndarray, curve,
     return s_hat, rss
 
 
-def fit_k_s(points, variant: SchemeVariant, variance_ratio: float = 1.0,
+def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
             noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING) -> FitResult:
     """Bounded least-squares fit of (k, s) to measured (kappa_abs, mi) pairs.
 
-    The model is the uniform-prior MI at equal stage times, minus s, for the
-    ratio r = c_bb / c_aa and the noise order; the defaults are ``closed_form_mi``.
+    The model is ``_mi_curve`` of the scheme, its priors, r = c_bb / c_aa and
+    the noise order, minus s; at uniform priors the defaults are ``closed_form_mi``.
     Deterministic search over k alone: for each k the offset s >= 0 is
     exact (see ``_best_offsets``), so no s grid bounds it.  k runs over the
     multiples of 0.01 in [-1, 1], then over two refinement levels on the
@@ -205,7 +205,7 @@ def fit_k_s(points, variant: SchemeVariant, variance_ratio: float = 1.0,
         raise ValueError("kappa_abs values must lie in (0, 1]")
     if not (math.isfinite(variance_ratio) and variance_ratio > 0.0):
         raise ValueError(f"variance_ratio must be positive, got {variance_ratio}")
-    curve = functools.partial(_mi_curve, variant=variant, variance_ratio=variance_ratio,
+    curve = functools.partial(_mi_curve, scheme=scheme, variance_ratio=variance_ratio,
                               noise_order=noise_order)
 
     # k = n / scale for integers n, so a lattice value is the same float on
@@ -253,6 +253,8 @@ _DESIGN_INV.setflags(write=False)
 
 def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.ndarray:
     """Noise-free expected counts n * <P_i> for the sixteen settings."""
+    if not (math.isfinite(n_per_projector) and n_per_projector > 0.0):
+        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
     return n_per_projector * _tomography_probabilities(validate_density_matrix(rho, dim=4))
 
 
@@ -347,7 +349,7 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         raise ValueError(f"n_per_input must be positive, got {n_per_input}")
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"s must be non-negative, got {s}")
     priors = np.asarray(scheme.priors)
     n = float(n_per_input)

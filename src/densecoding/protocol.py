@@ -2,13 +2,13 @@
 
 The dephasing channel couples each encoded Bell state only to its partner
 within the same sector (Phi+ <-> Phi-, Psi+ <-> Psi-), so every conditional
-distribution is a two-point mixture controlled by one visibility per
-sector.  At equal stage times, with r = c_bb / c_aa, the Phi sector keeps
-``kappa_abs ** (1 + r + 2 k sqrt(r))``; so does the Psi sector with the noise
-before the encoding, and ``kappa_abs ** (1 + r - 2 k sqrt(r))`` after it.
-``_mi_curve`` is the resulting mutual information of every regime, and the
-closed forms are its r = 1, noise-before-encoding case.  The independent
-density-matrix route :func:`simulate_protocol` is the theory of record.
+distribution is a two-point mixture with one visibility per sector, and
+``_sector_mi`` gives the MI of any prior from the two.  At equal stage times,
+with r = c_bb / c_aa, the Phi sector keeps ``kappa_abs ** (1 + r + 2 k sqrt(r))``;
+so does the Psi sector with the noise before the encoding, and
+``kappa_abs ** (1 + r - 2 k sqrt(r))`` after it.  ``_mi_curve`` is the MI of
+every regime, the closed forms its uniform, r = 1, noise-before-encoding case.
+The density-matrix route :func:`simulate_protocol` is the theory of record.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ class EncodingScheme:
         priors = self.priors if self.priors else tuple([1.0 / n] * n)
         if len(priors) != n:
             raise ValueError(f"{self.variant.value} needs {n} priors, got {len(priors)}")
-        if any(p < 0 for p in priors):
-            raise ValueError("priors must be non-negative")
+        if not all(math.isfinite(p) and p >= 0 for p in priors):
+            raise ValueError(f"priors must be finite and non-negative, got {priors}")
         if abs(sum(priors) - 1.0) > _ROW_SUM_TOL:
             raise ValueError(f"priors must sum to 1, got {sum(priors)!r}")
         object.__setattr__(self, "priors", tuple(float(p) for p in priors))
@@ -217,7 +217,7 @@ def mutual_information(scheme: EncodingScheme, table: ConditionalTable,
     p2(y) = sum_x p1(x) p(y|x); cells with p(y|x) = 0 contribute nothing.
     The imperfection offset s is subtracted and the result clamped at 0.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"s must be non-negative, got {s}")
     if table.inputs != scheme.alphabet:
         raise ValueError("table inputs do not match the scheme alphabet")
@@ -263,7 +263,7 @@ def capacity_from_non_markovianity(n: float, kappa_abs: float) -> float:
     if not 0.0 < kappa_abs < 1.0:
         raise ValueError(
             f"kappa_abs must lie strictly in (0, 1), got {kappa_abs} (logarithm degenerate)")
-    if n < 0.0 or n + kappa_abs > 1.0 + 1e-9:
+    if not (n >= 0.0 and n + kappa_abs <= 1.0 + 1e-9):
         raise ValueError(
             f"n must satisfy 0 <= n <= 1 - kappa_abs, got n={n}, kappa_abs={kappa_abs}")
     log_ratio = min(math.log(min(n + kappa_abs, 1.0)) / math.log(kappa_abs), 1.0)
@@ -271,24 +271,30 @@ def capacity_from_non_markovianity(n: float, kappa_abs: float) -> float:
     return capacity_bob_noise(kappa_abs, -k_abs)
 
 
-def _mi3_from_x(x):
-    """Three-state mutual information (bits, no offset) as a function of the
-    visibility x, in the natural-log form with 1/ln 8 prefactor; log2(3) at x = 1."""
-    x = np.asarray(x, dtype=float)
-    near_one = x >= 1.0
-    safe = np.where(near_one, 0.5, x)
-    bracket = (2.0 * safe * np.arctanh(safe)
-               + np.log(27.0 / 4.0 * (1.0 - safe))
-               + np.log(1.0 + safe))
-    return np.where(near_one, np.log2(3.0), bracket / np.log(8.0))
+def _sector_mi(priors, m_phi, m_psi):
+    """MI in bits, no offset, of priors over ``BELL_OUTPUT_ORDER`` (0 past a
+    shorter alphabet) at broadcastable sector visibilities m_phi and m_psi.
 
+    The outcome names the sector, inside which the channel is binary
+    symmetric: with g(m) = (1+m) ln(1+m) + (1-m) ln(1-m) and a sector's mass
+    P and bias b = (p+ - p-) / P, I = H(P_Phi, P_Psi) + sum P/2 (g(m) - g(b m))
+    nats.  g is taken once per distinct array; at uniform priors, swapping the
+    arrays moves no bit (a four-state curve after the encoding is even in k)."""
+    def g(m):
+        return _xlogy(1.0 + m, 1.0 + m) + _xlogy(1.0 - m, 1.0 - m)
 
-def _mi4_from_x(x):
-    """Four-state mutual information (bits, no offset) as a function of the
-    visibility x, in the natural-log form with 1/ln 4 prefactor."""
-    x = np.asarray(x, dtype=float)
-    bracket = _xlogy(1.0 - x, 2.0 - 2.0 * x) + _xlogy(1.0 + x, 2.0 + 2.0 * x)
-    return bracket / np.log(4.0)
+    p = (*priors, 0.0)[:4]
+    within = np.zeros(np.broadcast_shapes(np.shape(m_phi), np.shape(m_psi)))
+    weights = {}  # id of a visibility array -> (the array, its weight of g)
+    for m, plus, minus in ((m_phi, p[0], p[1]), (m_psi, p[2], p[3])):
+        if plus > 0.0 and minus > 0.0:  # else the sector is empty or one state
+            weights[id(m)] = m, weights.get(id(m), (m, 0.0))[1] + (plus + minus) / 2.0
+            if plus != minus:
+                within -= (plus + minus) / 2.0 * g((plus - minus) / (plus + minus) * m)
+    for m, weight in weights.values():
+        within += weight * g(m)
+    entropy = -sum(q * math.log(q) for q in (p[0] + p[1], p[2] + p[3]) if q > 0.0)
+    return (entropy + within) / math.log(2.0)
 
 
 def closed_form_mi(variant: SchemeVariant, kappa_abs: float, k: float,
@@ -297,13 +303,12 @@ def closed_form_mi(variant: SchemeVariant, kappa_abs: float, k: float,
     alphabet, minus the offset s, at visibility x = kappa_abs ** (2 + 2k).
 
     The r = c_bb / c_aa = 1, noise-before-encoding form; for other regimes
-    use :func:`simulate_protocol` or ``fit_k_s(variance_ratio=..., noise_order=...)``.
+    or priors use :func:`simulate_protocol`, or ``fit_k_s`` to fit.
     """
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"s must be non-negative, got {s}")
     x = effective_visibility(kappa_abs, k)
-    mi = _mi3_from_x(x) if variant is SchemeVariant.THREE_STATE else _mi4_from_x(x)
-    return max(0.0, float(mi) - s)
+    return max(0.0, float(_sector_mi(EncodingScheme(variant).priors, x, x)) - s)
 
 
 def closed_form_mi3(kappa_abs: float, k: float, s: float = 0.0) -> float:
@@ -316,9 +321,9 @@ def closed_form_mi4(kappa_abs: float, k: float, s: float = 0.0) -> float:
     return closed_form_mi(SchemeVariant.FOUR_STATE, kappa_abs, k, s)
 
 
-def _mi_curve(kappa_abs, k, variant: SchemeVariant, variance_ratio: float = 1.0,
+def _mi_curve(kappa_abs, k, scheme: EncodingScheme, variance_ratio: float = 1.0,
               noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING):
-    """Uniform-prior MI in bits, no offset, at equal stage times for broadcastable
+    """The scheme's MI in bits, no offset, at equal stage times for broadcastable
     kappa_abs in (0, 1] and k, the ratio r = c_bb / c_aa and the noise order
     (see above).  For |k| <= 1 no exponent is negative: fl(1 + r) >= 2 fl(sqrt(r)).
 
@@ -328,12 +333,9 @@ def _mi_curve(kappa_abs, k, variant: SchemeVariant, variance_ratio: float = 1.0,
     root = math.sqrt(variance_ratio)
     log_kappa = np.log(kappa_abs)
     m_phi = np.exp((1.0 + variance_ratio + 2.0 * root * k) * log_kappa)
-    if variant is SchemeVariant.THREE_STATE:  # Psi+ is never confused
-        return _mi3_from_x(m_phi)
-    if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING:
-        return _mi4_from_x(m_phi)
-    m_psi = np.exp((1.0 + variance_ratio - 2.0 * root * k) * log_kappa)
-    return (_mi4_from_x(m_phi) + _mi4_from_x(m_psi)) / 2.0
+    m_psi = (m_phi if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING
+             else np.exp((1.0 + variance_ratio - 2.0 * root * k) * log_kappa))
+    return _sector_mi(scheme.priors, m_phi, m_psi)
 
 
 _PROJECTORS = np.array([bell_state(y) for y in BELL_OUTPUT_ORDER])

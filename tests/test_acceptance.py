@@ -17,7 +17,6 @@ from densecoding import (
     EncodingScheme,
     JointSpectrum,
     NoiseOrder,
-    SchemeVariant,
     bell_state,
     capacity_bob_noise,
     capacity_from_non_markovianity,
@@ -186,12 +185,12 @@ def test_09_fit_recovery():
         kappas = np.linspace(0.1, 0.95, 10)
 
         pts3 = [(k, closed_form_mi3(k, -1.0, 0.0749)) for k in kappas]
-        fit3 = fit_k_s(pts3, SchemeVariant.THREE_STATE)
+        fit3 = fit_k_s(pts3, THREE)
         assert abs(fit3.k_hat - (-1.0)) <= 1e-3
         assert abs(fit3.s_hat - 0.0749) <= 1e-4
 
         pts4 = [(k, closed_form_mi4(k, -0.99995, 0.0975)) for k in kappas]
-        fit4 = fit_k_s(pts4, SchemeVariant.FOUR_STATE)
+        fit4 = fit_k_s(pts4, FOUR)
         # -0.99995 sits half a final-grid step off the k lattice: the fit
         # lands on the nearest representable point and s absorbs the rest
         assert abs(fit4.k_hat - (-0.99995)) <= 1e-4
@@ -205,7 +204,7 @@ def test_09_fit_recovery():
             table = simulate_protocol(spec, DephasingTimes(t, t), THREE)
             mean, _ = estimate_mi_with_errors(table, THREE, 10_000, 1000, 600 + i)
             points.append((kappa, mean - s_gen))
-        mc_fit = fit_k_s(points, SchemeVariant.THREE_STATE)
+        mc_fit = fit_k_s(points, THREE)
         assert abs(mc_fit.s_hat - s_gen) <= 0.02
 
         elapsed = time.perf_counter() - start

@@ -269,15 +269,6 @@ class TestFit:
         assert float(k_hat) == pytest.approx(-1.0, abs=1e-6)
         assert float(s_hat) == pytest.approx(math.log2(3.0) - 1.51006, abs=1e-3)
 
-    def test_refuses_non_uniform_priors(self, tmp_path, capsys):
-        data = tmp_path / "points.csv"
-        data.write_text("0.2,1.2\n0.5,1.3\n0.9,1.6\n")
-        code, stdout, stderr = run_cli(
-            ["fit", "--in", str(data), "--priors", "0.8,0.1,0.1"], capsys)
-        assert code == 1
-        assert stdout == ""
-        assert stderr.startswith("error: fit ")
-
     @pytest.mark.parametrize("regime", [
         pytest.param("c_bb = 2\n", id="c_bb=2"),
         pytest.param("c_aa = 0.5\n", id="c_aa=0.5"),
@@ -302,6 +293,31 @@ class TestFit:
             ["fit", "--config", str(cfg_path), "--in", str(data)], capsys)
         assert code == 0 and stderr == ""
         k_hat, s_hat = (float(v) for v in stdout.splitlines()[1].split(",")[:2])
+        assert k_hat == pytest.approx(-0.6, abs=1e-3)
+        assert s_hat == pytest.approx(0.05, abs=1e-3)
+
+    @pytest.mark.parametrize("regime, priors", [
+        pytest.param("c_aa = 0.5\n", "0.8,0.1,0.1", id="three_state"),
+        pytest.param("c_bb = 2\nscheme = FOUR_STATE\nnoise_order = NOISE_AFTER_ENCODING\n",
+                     "0.4,0.3,0.2,0.1", id="four_state_after_encoding"),
+    ])
+    def test_recovers_k_and_s_with_priors(self, regime, priors, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(regime + "k = -0.6\n")
+        cfg = parse_config(cfg_path.read_text() + f"priors = {priors}\n")
+        rows = ["kappa_abs,mi"]
+        for t in np.linspace(0.1, 2.0, 40):
+            table = simulate_protocol(cfg.spectrum, DephasingTimes(t, t), cfg.scheme,
+                                      cfg.noise_order)
+            kappa = abs(decoherence_function(cfg.spectrum, t))
+            rows.append(f"{kappa!r},{mutual_information(cfg.scheme, table, 0.05)!r}")
+        data = tmp_path / "points.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code, stdout, stderr = run_cli(
+            ["fit", "--config", str(cfg_path), "--in", str(data), "--priors", priors], capsys)
+        assert code == 0 and stderr == ""
+        k_hat, s_hat, rss = (float(v) for v in stdout.splitlines()[1].split(",")[:3])
+        assert rss <= 1e-12
         assert k_hat == pytest.approx(-0.6, abs=1e-3)
         assert s_hat == pytest.approx(0.05, abs=1e-3)
 

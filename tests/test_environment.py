@@ -322,6 +322,10 @@ class TestCapacityFromNonMarkovianity:
         with pytest.raises(ValueError):
             capacity_from_non_markovianity(-0.1, 0.5)
 
+    def test_nan_backflow_names_n(self):
+        with pytest.raises(ValueError, match="n must satisfy"):
+            capacity_from_non_markovianity(math.nan, 0.5)
+
 
 class TestJointSpectrumValidation:
     def test_rejects_bad_variance(self):

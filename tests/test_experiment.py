@@ -170,7 +170,7 @@ class TestFit:
     def test_three_state_noiseless_recovery(self):
         kappas = np.linspace(0.1, 0.95, 10)
         pts = [(k, closed_form_mi3(k, -1.0, 0.0749)) for k in kappas]
-        fit = fit_k_s(pts, SchemeVariant.THREE_STATE)
+        fit = fit_k_s(pts, THREE)
         assert abs(fit.k_hat - (-1.0)) <= 1e-3
         assert abs(fit.s_hat - 0.0749) <= 1e-4
         assert fit.residual_sum_squares < 1e-20
@@ -182,32 +182,48 @@ class TestFit:
         # sub-resolution curve offset
         kappas = np.linspace(0.1, 0.95, 10)
         pts = [(k, closed_form_mi4(k, -0.99995, 0.0975)) for k in kappas]
-        fit = fit_k_s(pts, SchemeVariant.FOUR_STATE)
+        fit = fit_k_s(pts, FOUR)
         assert abs(fit.k_hat - (-0.99995)) <= 1e-4
         assert abs(fit.s_hat - 0.0975) <= 1e-3
 
     def test_constant_ideal_curve(self):
         pts = [(k, math.log2(3.0)) for k in (0.2, 0.4, 0.6, 0.8)]
-        fit = fit_k_s(pts, SchemeVariant.THREE_STATE)
+        fit = fit_k_s(pts, THREE)
         assert fit.k_hat == pytest.approx(-1.0, abs=1e-12)
         assert fit.s_hat == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
-            fit_k_s([(0.5, 1.0)], SchemeVariant.THREE_STATE)
+            fit_k_s([(0.5, 1.0)], THREE)
         with pytest.raises(ValueError):
-            fit_k_s([(0.0, 1.0), (0.5, 1.2)], SchemeVariant.THREE_STATE)
+            fit_k_s([(0.0, 1.0), (0.5, 1.2)], THREE)
         with pytest.raises(ValueError):
-            fit_k_s([(0.5, 1.0), (1.5, 1.2)], SchemeVariant.THREE_STATE)
+            fit_k_s([(0.5, 1.0), (1.5, 1.2)], THREE)
 
     @pytest.mark.parametrize("bad", [(0.5, math.nan), (0.5, math.inf), (math.nan, 1.0)])
     def test_rejects_non_finite_points(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            fit_k_s([bad, (0.4, 0.3)], SchemeVariant.FOUR_STATE)
+            fit_k_s([bad, (0.4, 0.3)], FOUR)
+
+    @pytest.mark.parametrize("scheme", [EncodingScheme.three_state((0.5, 0.3, 0.2)),
+                                        EncodingScheme.four_state((0.4, 0.3, 0.2, 0.1))],
+                             ids=["three_state", "four_state"])
+    @pytest.mark.parametrize("order", list(NoiseOrder))
+    def test_recovers_k_and_s_from_born_points_with_priors(self, scheme, order):
+        spec = JointSpectrum(c_aa=0.7, c_bb=1.8, k=-0.6)
+        points = []
+        for t in np.linspace(0.1, 2.0, 40):
+            table = simulate_protocol(spec, DephasingTimes(t, t), scheme, order)
+            points.append((abs(decoherence_function(spec, t)),
+                           mutual_information(scheme, table, 0.05)))
+        fit = fit_k_s(points, scheme, spec.c_bb / spec.c_aa, order)
+        assert fit.residual_sum_squares <= 1e-12
+        assert fit.k_hat == pytest.approx(-0.6, abs=1e-3)
+        assert fit.s_hat == pytest.approx(0.05, abs=1e-3)
 
     def test_csv_format(self):
         pts = [(k, math.log2(3.0)) for k in (0.2, 0.8)]
-        text = fit_result_to_csv(fit_k_s(pts, SchemeVariant.THREE_STATE))
+        text = fit_result_to_csv(fit_k_s(pts, THREE))
         lines = text.splitlines()
         assert lines[0] == "k_hat,s_hat,rss,n_points"
         assert lines[1].split(",")[3] == "2"
@@ -233,6 +249,11 @@ class TestTomographyCounts:
         probs = expected_tomography_counts(rho, 1.0)
         idx_dd = TOMOGRAPHY_SETTINGS.index(("D", "D"))
         assert probs[idx_dd] == pytest.approx(0.375, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_non_positive_or_non_finite_n_per_projector(self, n):
+        with pytest.raises(ValueError, match="n_per_projector must be finite and positive"):
+            expected_tomography_counts(bell_state(BellLabel.PHI_PLUS), n)
 
     def test_sampling_determinism(self):
         rho = bell_state(BellLabel.PSI_PLUS)
@@ -415,6 +436,7 @@ class TestRunSweep:
         ([0.5], 0, 10, 0.0),
         ([0.5], 100, 1, 0.0),
         ([0.5], 100, 10, -0.01),
+        ([0.5], 100, 10, math.nan),
     ])
     def test_bad_arguments_rejected(self, grid, n, trials, s):
         with pytest.raises(ValueError):
@@ -503,7 +525,7 @@ class TestFitValley:
             model = np.array([closed_form_mi4(x, k, s) for x in kappas])
             return float(((model - mis) ** 2).sum())
 
-        fit = fit_k_s(zip(kappas, mis), SchemeVariant.FOUR_STATE)
+        fit = fit_k_s(zip(kappas, mis), FOUR)
         assert fit.residual_sum_squares == pytest.approx(rss(fit.k_hat, fit.s_hat), rel=1e-9)
         assert fit.residual_sum_squares <= rss(k_true, s_true)
 
@@ -511,7 +533,7 @@ class TestFitValley:
     def test_reaches_offsets_above_one_bit(self, variant):
         # MI = 0 is fitted exactly only with s at or above every model value,
         # 1.14 or more here; the coarse s grid ends at 1.
-        fit = fit_k_s([(x, 0.0) for x in (0.5, 0.6, 0.7, 0.8, 0.9)], variant)
+        fit = fit_k_s([(x, 0.0) for x in (0.5, 0.6, 0.7, 0.8, 0.9)], EncodingScheme(variant))
         assert fit.residual_sum_squares <= 1e-12
         assert fit.s_hat >= 1.14
 
@@ -520,7 +542,7 @@ class TestFitValley:
         # optimum (-0.9, 1.45) needs s searched up to log2(3).
         kappas = np.linspace(0.3, 0.9, 40)
         mis = [closed_form_mi3(x, -0.9, 1.45) for x in kappas]
-        fit = fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE)
+        fit = fit_k_s(zip(kappas, mis), THREE)
         assert fit.residual_sum_squares <= 1e-12
         assert (fit.k_hat, fit.s_hat) == pytest.approx((-0.9, 1.45), abs=1e-3)
 
@@ -531,7 +553,7 @@ class TestFitValley:
         # grid widened only from that edge stopped at RSS 0.0061 and 0.019.
         kappas = np.linspace(0.3, kappa_max, 40)
         mis = [closed_form_mi3(x, k_true, s_true) for x in kappas]
-        fit = fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE)
+        fit = fit_k_s(zip(kappas, mis), THREE)
         assert fit.residual_sum_squares <= 1e-12
         assert (fit.k_hat, fit.s_hat) == pytest.approx((k_true, s_true), abs=1e-3)
 
@@ -542,8 +564,8 @@ class TestFitValley:
         # and -k tie exactly; the tie goes to the smaller k, on its lattice value.
         order = NoiseOrder.NOISE_AFTER_ENCODING
         kappas = np.linspace(0.1, 0.95, 30)
-        mis = _mi_curve(kappas, k_true, SchemeVariant.FOUR_STATE, ratio, order)
-        fit = fit_k_s(zip(kappas, mis), SchemeVariant.FOUR_STATE, ratio, order)
+        mis = _mi_curve(kappas, k_true, FOUR, ratio, order)
+        fit = fit_k_s(zip(kappas, mis), FOUR, ratio, order)
         assert fit.k_hat == -0.6
 
 
@@ -568,8 +590,8 @@ class TestRssProfile:
     @settings(max_examples=12, deadline=None)
     def test_offsets_match_a_dense_s_scan(self, variant, n, seed, ratio, order):
         rng = np.random.default_rng(seed)
-        model = functools.partial(_mi_curve, variant=variant, variance_ratio=ratio,
-                                  noise_order=order)
+        model = functools.partial(_mi_curve, scheme=EncodingScheme(variant),
+                                  variance_ratio=ratio, noise_order=order)
         kappas = 1.0 - rng.uniform(0.0, 1.0, n)
         # Tiny kappas put many model values at the same end of the curve.
         kappas[rng.random(n) < 0.1] = 1e-9
@@ -596,7 +618,7 @@ class TestRssProfile:
         # Noisy points of the curve at k = 0, where the exponent is 2 at r = 1.
         rng = np.random.default_rng(11)
         kappas = rng.uniform(0.05, 1.0, 1000)
-        model = functools.partial(_mi_curve, variant=variant)
+        model = functools.partial(_mi_curve, scheme=EncodingScheme(variant))
         mis = np.maximum(model(kappas, 0.0) - 0.05, 0.0) + rng.normal(0.0, 0.005, 1000)
         k_grid = np.arange(-8, 8) / 100
         s_window, rss_window = _best_offsets(kappas, mis, model, k_grid)
@@ -609,11 +631,11 @@ class TestRssProfile:
         # largest model value.  Ties go to smaller |k|, then smaller s.
         kappas = np.linspace(0.05, 0.3, 12)
         mis = np.zeros(kappas.size)
-        model = functools.partial(_mi_curve, variant=SchemeVariant.THREE_STATE)
+        model = functools.partial(_mi_curve, scheme=THREE)
         _, rss = _best_offsets(kappas, mis, model, COARSE_K)
         assert np.count_nonzero(rss == 0.0) > 10
         expected = experiment.FitResult(0.0, float(model(kappas, 0.0).max()), 0.0, 12)
-        assert fit_k_s(zip(kappas, mis), SchemeVariant.THREE_STATE) == expected
+        assert fit_k_s(zip(kappas, mis), THREE) == expected
 
     @pytest.mark.parametrize("seed,variant,expected", [
         (0, SchemeVariant.FOUR_STATE, (-0.5237999999999996, 0.04731, 0.025879182672130612)),
@@ -625,7 +647,7 @@ class TestRssProfile:
         # Values from a search that evaluated the whole (k, s) grid with steps
         # 0.01 and 0.001; the exact offsets reach them or better.
         k_grid, s_grid, rss_grid = expected
-        fit = fit_k_s(_seeded_fit_points(seed, variant), variant)
+        fit = fit_k_s(_seeded_fit_points(seed, variant), EncodingScheme(variant))
         assert fit.residual_sum_squares <= rss_grid
         assert fit.k_hat == pytest.approx(k_grid, abs=1e-3)
         assert fit.s_hat == pytest.approx(s_grid, abs=1e-3)
@@ -644,5 +666,5 @@ class TestFitOnMonteCarloData:
             table = simulate_protocol(spec, DephasingTimes(t, t), THREE)
             mean, _ = estimate_mi_with_errors(table, THREE, 10_000, 200, 1000 + i)
             points.append((kappa, mean - s_gen))
-        fit = fit_k_s(points, SchemeVariant.THREE_STATE)
+        fit = fit_k_s(points, THREE)
         assert abs(fit.s_hat - s_gen) <= 0.02

@@ -30,7 +30,7 @@ from densecoding import (
     mutual_information,
     simulate_protocol,
 )
-from densecoding.protocol import _mi3_from_x, _mi4_from_x, _mi_curve
+from densecoding.protocol import _born_tables, _mi_bits, _mi_curve, _sector_mi
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -60,6 +60,11 @@ class TestEncodingScheme:
             EncodingScheme.four_state((0.5, 0.5, 0.5, -0.5))
         with pytest.raises(ValueError):
             EncodingScheme.three_state((0.5, 0.4, 0.2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_priors(self, bad):
+        with pytest.raises(ValueError, match="priors must be finite and non-negative"):
+            EncodingScheme.three_state((bad, 0.5, 0.5))
 
 
 class TestEffectiveVisibility:
@@ -166,6 +171,10 @@ class TestMutualInformation:
             math.log2(3.0) - 0.0749, abs=1e-12)
         assert mutual_information(THREE, table, 5.0) == 0.0
 
+    def test_rejects_nan_offset(self):
+        with pytest.raises(ValueError, match="s must be non-negative"):
+            mutual_information(THREE, conditional_probabilities(THREE, 0.5), math.nan)
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16))
     @settings(max_examples=60, deadline=None)
     def test_bounds_on_arbitrary_tables(self, raw):
@@ -229,6 +238,11 @@ class TestClosedForms:
         assert value == pytest.approx(math.log2(3.0) - 0.0749, abs=1e-12)
         assert value == pytest.approx(1.51006, abs=1e-5)
 
+    @pytest.mark.parametrize("variant", list(SchemeVariant))
+    def test_rejects_nan_offset(self, variant):
+        with pytest.raises(ValueError, match="s must be non-negative"):
+            closed_form_mi(variant, 0.5, -0.5, math.nan)
+
     def test_four_state_endpoints(self):
         assert closed_form_mi4(1.0, -0.3) == pytest.approx(2.0, abs=1e-12)
         assert closed_form_mi4(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -249,8 +263,8 @@ class TestClosedForms:
     def test_three_state_form_holds_next_to_full_visibility(self, gap):
         x = 1.0 - gap
         table = conditional_probabilities(THREE, x)
-        assert float(_mi3_from_x(x)) == pytest.approx(mutual_information(THREE, table),
-                                                      abs=1e-14)
+        assert float(_sector_mi(THREE.priors, x, x)) == pytest.approx(
+            mutual_information(THREE, table), abs=1e-14)
 
     def test_monotone_in_visibility(self):
         xs = np.linspace(0.0, 1.0, 200)
@@ -326,6 +340,28 @@ class TestSimulateProtocol:
         np.testing.assert_allclose(table.p_y_given_x.sum(axis=1), 1.0, atol=1e-12)
 
 
+class TestSectorKernel:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SchemeVariant)),
+           st.sampled_from(list(NoiseOrder)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_born_rule_mi(self, seed, variant, order):
+        rng = np.random.default_rng(seed)
+        n = len(EncodingScheme(variant).alphabet)
+        priors = rng.dirichlet(np.ones(n))
+        priors[rng.random(n) < 0.2] = 0.0  # empty and one-sided sectors too
+        priors = priors / priors.sum() if priors.any() else np.full(n, 1.0 / n)
+        scheme = EncodingScheme(variant, tuple(priors))
+        spec = JointSpectrum(omega0=rng.uniform(-3.0, 5.0), c_bb=rng.uniform(0.2, 3.0),
+                             k=rng.uniform(-1.0, 1.0), delta_n=rng.uniform(-2.0, 2.0))
+        t = rng.uniform(0.0, 2.0)
+        table = _born_tables(spec, t, t, scheme, order)
+        born = float(_mi_bits(np.asarray(scheme.priors), table))
+        # Visibilities read off the Phi+ and Psi+ rows of the Born table.
+        m_phi, m_psi = table[0, 0] - table[0, 1], table[2, 2] - table[2, 3]
+        assert float(_sector_mi(scheme.priors, m_phi, m_psi)) == pytest.approx(
+            born, abs=1e-14)
+
+
 class TestMiCurve:
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-1.0, 1.0),
            st.floats(-2.0, 2.0), st.floats(-3.0, 5.0), st.floats(0.0, 2.0),
@@ -337,16 +373,17 @@ class TestMiCurve:
         born = mutual_information(
             scheme, simulate_protocol(spec, DephasingTimes(t, t), scheme, order))
         kappa = abs(decoherence_function(spec, t))
-        curve = float(_mi_curve(kappa, k, variant, c_bb / c_aa, order))
+        curve = float(_mi_curve(kappa, k, scheme, c_bb / c_aa, order))
         assert curve == pytest.approx(born, abs=1e-12)
 
     @pytest.mark.parametrize("variant", list(SchemeVariant))
     def test_equal_variances_before_encoding_are_the_closed_forms(self, variant):
         kappas, ks = np.meshgrid(KAPPA_GRID, np.linspace(-1.0, 1.0, 21))
-        curve = _mi_curve(kappas, ks, variant)
+        scheme = EncodingScheme(variant)
+        curve = _mi_curve(kappas, ks, scheme)
         # At r = 1 the exponent 1 + r + 2 sqrt(r) k is bitwise 2 + 2k.
-        model = _mi3_from_x if variant is SchemeVariant.THREE_STATE else _mi4_from_x
-        np.testing.assert_array_equal(curve, model(np.exp((2.0 + 2.0 * ks) * np.log(kappas))))
+        x = np.exp((2.0 + 2.0 * ks) * np.log(kappas))
+        np.testing.assert_array_equal(curve, _sector_mi(scheme.priors, x, x))
         closed = [[closed_form_mi(variant, x, k) for x in row] for row, k in zip(kappas, ks[:, 0])]
         np.testing.assert_allclose(curve, closed, rtol=0.0, atol=1e-15)
 
@@ -359,7 +396,8 @@ class TestMiCurve:
         kappas = np.concatenate([rng.uniform(0.0, 1.0, 50), [1e-300, 0.5, 1.0]])
         kappas[kappas == 0.0] = 1.0
         for ratio in np.exp(rng.uniform(-20.0, 20.0, 50)).tolist() + [1.0, 0.3, 2.5]:
-            curve = _mi_curve(kappas, np.array([[-1.0], [1.0]]), variant, ratio, order)
+            curve = _mi_curve(kappas, np.array([[-1.0], [1.0]]), EncodingScheme(variant), ratio,
+                              order)
             assert np.all(np.isfinite(curve)), ratio
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SchemeVariant)),
@@ -374,9 +412,10 @@ class TestMiCurve:
         kappas = rng.uniform(1e-3, 1.0, 333)
         ks = rng.integers(-100, 101, 16) / 100
         ks[rng.integers(16)] = 0.0  # at r = 1 the exponent is 2, which ** squares
-        window = _mi_curve(kappas, ks[:, None], variant, ratio, order)
+        scheme = EncodingScheme(variant)
+        window = _mi_curve(kappas, ks[:, None], scheme, ratio, order)
         for rows in (1, 2):
-            alone = _mi_curve(kappas, ks[where:where + rows, None], variant, ratio, order)
+            alone = _mi_curve(kappas, ks[where:where + rows, None], scheme, ratio, order)
             np.testing.assert_array_equal(alone, window[where:where + rows])
 
     @pytest.mark.parametrize("spec, order", [
@@ -390,5 +429,5 @@ class TestMiCurve:
                                                           FOUR, order))
         kappa = abs(decoherence_function(spec, 1.0))
         assert abs(born - closed_form_mi4(kappa, -0.5)) > 0.1
-        curve = _mi_curve(kappa, -0.5, SchemeVariant.FOUR_STATE, spec.c_bb / spec.c_aa, order)
+        curve = _mi_curve(kappa, -0.5, FOUR, spec.c_bb / spec.c_aa, order)
         assert float(curve) == pytest.approx(born, abs=1e-12)
