@@ -193,7 +193,8 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
     on a window end that is not -1 or 1, so it follows the valley along
     which k and s trade off.  Ties go to smaller |k|, then smaller s, then
     smaller k: a curve even in k, as the four-state one after the encoding
-    is, reports k <= 0.
+    is, reports k <= 0.  Priors that leave no Bell sector with two states of
+    positive prior make the model constant in k, and raise ValueError.
     """
     pts = np.array([(float(k), float(m)) for k, m in points]).reshape(-1, 2)
     if len(pts) < 2:
@@ -205,6 +206,9 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
         raise ValueError("kappa_abs values must lie in (0, 1]")
     if not (math.isfinite(variance_ratio) and variance_ratio > 0.0):
         raise ValueError(f"variance_ratio must be positive, got {variance_ratio}")
+    p = (*scheme.priors, 0.0)[:4]  # the Phi sector p[:2] and the Psi sector p[2:]
+    if max(min(p[:2]), min(p[2:])) <= 0.0:
+        raise ValueError("the model does not depend on k: no Bell sector has two positive priors")
     curve = functools.partial(_mi_curve, scheme=scheme, variance_ratio=variance_ratio,
                               noise_order=noise_order)
 
@@ -269,8 +273,8 @@ def _tomography_probabilities(rho: np.ndarray) -> np.ndarray:
 
 def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.ndarray:
     """Binomially sampled counts for the sixteen projective settings."""
-    if n_per_projector <= 0:
-        raise ValueError(f"n_per_projector must be positive, got {n_per_projector}")
+    if not (n_per_projector >= 1 and n_per_projector % 1 == 0):
+        raise ValueError(f"n_per_projector must be a positive integer, got {n_per_projector}")
     probs = expected_tomography_counts(rho, 1.0)
     rng = np.random.default_rng(seed)
     return rng.binomial(n_per_projector, probs)
@@ -291,11 +295,14 @@ def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
     n = float(n_per_projector)
     if not (math.isfinite(n) and n > 0.0):
         raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
-    return validate_density_matrix(_reconstruct(counts / n), dim=4)
+    vals, vecs = _reconstruct(counts / n)
+    return validate_density_matrix((vecs * vals) @ vecs.conj().T, dim=4)
 
 
-def _reconstruct(freq: np.ndarray) -> np.ndarray:
-    """Unvalidated linear inversion of frequencies shaped (..., 16): (..., 4, 4)."""
+def _reconstruct(freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unvalidated linear inversion of frequencies (..., 16) as eigenpairs (..., 4),
+    (..., 4, 4) of the states: one ``eigh`` of the Hermitized inverse projects it
+    on the positive cone (clip at 0, divide by the sum) and feeds ``_concurrences``."""
     rho = (_DESIGN_INV @ freq[..., None]).reshape(freq.shape[:-1] + (4, 4))
     rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(rho)
@@ -303,7 +310,7 @@ def _reconstruct(freq: np.ndarray) -> np.ndarray:
     total = vals.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("reconstruction gives a zero state; counts unusable")
-    return (vecs * (vals / total)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return vals / total, vecs
 
 
 # Bootstrap count tables (rows x trials) per block of stacked rows, so 128
@@ -364,7 +371,7 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         kappa_abs = np.hypot(kappa.real, kappa.imag)
         # Counts n * p divided by n again, as the scalar route rounds them.
         counts = n * _tomography_probabilities(_pre_encoding_states(spec, t))
-        conc = _concurrences(_reconstruct(counts / n))
+        conc = _concurrences(*_reconstruct(counts / n))
         tables = _checked_probabilities(_born_tables(spec, t, t, scheme, noise_order))
         theory = np.maximum(0.0, _mi_bits(priors, tables) - s)
         mean, std = _bootstrap_stats(priors, _draw_counts(tables, n_per_input, trials, rng),

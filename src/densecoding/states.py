@@ -132,15 +132,6 @@ def _xlogy(x, y):
     return x * np.log(np.where(x == 0.0, 1.0, y))
 
 
-def _clamped_eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues with the [-1e-10, 0) band clamped to exactly zero."""
-    vals = np.linalg.eigvalsh(rho)
-    lo = float(vals.min())
-    if lo < _EIGENVALUE_FLOOR:
-        raise InvariantViolation(f"matrix not positive semidefinite: eigenvalue {lo:.3e}")
-    return np.clip(vals, 0.0, None)
-
-
 def bell_state(label: BellLabel) -> np.ndarray:
     """Rank-1 projector onto the named Bell state in the (HH, HV, VH, VV) basis."""
     vec = _BELL_VECTORS[label]
@@ -168,7 +159,7 @@ def partial_trace(rho: np.ndarray, keep: Party) -> np.ndarray:
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Spectral entropy -sum(lam * log2(lam)) of a density matrix of any dimension."""
     rho = validate_density_matrix(rho)
-    vals = _clamped_eigenvalues(rho)
+    vals = np.clip(np.linalg.eigvalsh(rho), 0.0, None)  # none below -1e-10, as validated
     return float(-_xlogy(vals, vals).sum() / np.log(2.0))
 
 
@@ -195,20 +186,23 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
 
 
 def concurrence(rho: np.ndarray) -> float:
-    """Wootters entanglement monotone of a two-qubit state, in [0, 1].
-
-    Computed as max(0, l1 - l2 - l3 - l4) from the decreasingly ordered
-    square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y); those are
-    the singular values of sqrt(flipped) sqrt(rho), which an SVD resolves
-    at machine precision where a root of eigenvalues would not.
-    """
-    return float(_concurrences(validate_density_matrix(rho, dim=4)))
+    """Wootters entanglement monotone of a two-qubit state, in [0, 1]: max(0,
+    l1 - l2 - l3 - l4) over the decreasingly ordered square roots of the
+    eigenvalues of rho (Y x Y) rho* (Y x Y), from one ``eigh`` of rho."""
+    return float(_concurrences(*np.linalg.eigh(validate_density_matrix(rho, dim=4))))
 
 
-def _concurrences(rho: np.ndarray) -> np.ndarray:
-    """:func:`concurrence` of a stack (..., 4, 4) of states it does not check."""
-    spin_flipped = _Y_OTIMES_Y @ rho.conj() @ _Y_OTIMES_Y
-    lams = np.linalg.svd(_psd_sqrt(spin_flipped) @ _psd_sqrt(rho), compute_uv=False)
+def _concurrences(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """:func:`concurrence` of unchecked eigenpairs (..., 4), (..., 4, 4) of states.
+
+    The l_i are the singular values of sqrt(flipped) sqrt(rho). With rho =
+    V Lambda V^H and S = diag(sqrt(Lambda)), Lambda < 1e-14 set to 0 as in
+    :func:`_psd_sqrt`, that product is (Y x Y) conj(V) S W S V^H with W =
+    V^T (Y x Y) V. Unitary factors leave singular values alone: the l_i are
+    those of S W S, which an SVD resolves at machine precision."""
+    root = np.sqrt(np.where(vals < 1e-14, 0.0, vals))
+    sws = root[..., :, None] * (vecs.swapaxes(-1, -2) @ _Y_OTIMES_Y @ vecs) * root[..., None, :]
+    lams = np.linalg.svd(sws, compute_uv=False)
     return np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
 
 

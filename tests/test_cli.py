@@ -321,6 +321,17 @@ class TestFit:
         assert k_hat == pytest.approx(-0.6, abs=1e-3)
         assert s_hat == pytest.approx(0.05, abs=1e-3)
 
+    @pytest.mark.parametrize("flags", [["--priors", "0.5,0,0.5"],
+                                       ["--scheme", "FOUR_STATE", "--priors", "0.5,0,0.5,0"]],
+                             ids=["three_state", "four_state"])
+    def test_priors_that_leave_k_out_of_the_model_exit_1(self, flags, tmp_path, capsys):
+        data = tmp_path / "points.csv"
+        data.write_text("kappa_abs,mi\n0.2,0.9\n0.5,0.9\n0.8,0.9\n")
+        code, stdout, stderr = run_cli(["fit", "--in", str(data), *flags], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: the model does not depend on k: no Bell sector")
+        assert stderr.count("\n") == 1
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, stdout, stderr = run_cli(
             ["fit", "--in", str(tmp_path / "nope.csv")], capsys)

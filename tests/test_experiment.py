@@ -221,6 +221,30 @@ class TestFit:
         assert fit.k_hat == pytest.approx(-0.6, abs=1e-3)
         assert fit.s_hat == pytest.approx(0.05, abs=1e-3)
 
+    @pytest.mark.parametrize("scheme", [EncodingScheme.three_state((0.5, 0.0, 0.5)),
+                                        EncodingScheme.three_state((0.0, 0.5, 0.5)),
+                                        EncodingScheme.four_state((1.0, 0.0, 0.0, 0.0)),
+                                        EncodingScheme.four_state((0.5, 0.0, 0.5, 0.0))],
+                             ids=["three_no_phi_minus", "three_no_phi_plus", "four_one_state",
+                                  "four_one_per_sector"])
+    def test_rejects_priors_that_leave_k_out_of_the_model(self, scheme):
+        pts = [(k, 0.9) for k in np.linspace(0.2, 0.9, 10)]
+        with pytest.raises(ValueError, match="the model does not depend on k"):
+            fit_k_s(pts, scheme)
+
+    def test_one_sector_with_two_states_is_enough(self):
+        # Only the Psi sector holds two states, and it carries k.
+        scheme = EncodingScheme.four_state((0.5, 0.0, 0.25, 0.25))
+        spec = JointSpectrum(k=-0.6)
+        points = []
+        for t in np.linspace(0.1, 2.0, 20):
+            table = simulate_protocol(spec, DephasingTimes(t, t), scheme)
+            points.append((abs(decoherence_function(spec, t)),
+                           mutual_information(scheme, table)))
+        fit = fit_k_s(points, scheme)
+        assert fit.k_hat == pytest.approx(-0.6, abs=1e-3)
+        assert fit.residual_sum_squares <= 1e-12
+
     def test_csv_format(self):
         pts = [(k, math.log2(3.0)) for k in (0.2, 0.8)]
         text = fit_result_to_csv(fit_k_s(pts, THREE))
@@ -254,6 +278,17 @@ class TestTomographyCounts:
     def test_rejects_non_positive_or_non_finite_n_per_projector(self, n):
         with pytest.raises(ValueError, match="n_per_projector must be finite and positive"):
             expected_tomography_counts(bell_state(BellLabel.PHI_PLUS), n)
+
+    @pytest.mark.parametrize("n", [2.5, 0.5, math.nan, math.inf, 0, -3, -2.0])
+    def test_sampled_counts_need_a_positive_integer_n_per_projector(self, n):
+        with pytest.raises(ValueError, match="n_per_projector must be a positive integer"):
+            tomography_counts(bell_state(BellLabel.PHI_PLUS), n, 0)
+
+    def test_integral_n_per_projector_of_any_type_draws_alike(self):
+        rho = bell_state(BellLabel.PHI_PLUS)
+        expected = tomography_counts(rho, 7, 0)
+        for n in (7.0, np.int64(7), np.float64(7.0)):
+            np.testing.assert_array_equal(tomography_counts(rho, n, 0), expected)
 
     def test_sampling_determinism(self):
         rho = bell_state(BellLabel.PSI_PLUS)
@@ -306,7 +341,26 @@ class TestSweepStacks:
                                                               omega0, grid):
         spec = JointSpectrum(omega0=omega0, c_aa=c_aa, c_bb=c_bb, k=k, delta_n=delta_n)
         states = _validate_states(_pre_encoding_states(spec, np.array(grid)))
-        _validate_states(_reconstruct(_tomography_probabilities(states)))
+        vals, vecs = _reconstruct(_tomography_probabilities(states))
+        _validate_states((vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+
+
+class TestSweepFactorisations:
+    """Each sweep state is factored once: the eigh of the tomography
+    reconstruction also gives the concurrence, through one svd per block."""
+
+    @pytest.mark.parametrize("rows", [1, 128, 300])
+    def test_one_eigh_and_one_svd_per_block(self, rows, monkeypatch):
+        calls = {"eigh": 0, "svd": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        experiment._sweep_values(JointSpectrum(k=-0.5, c_bb=2.0), np.linspace(0.0, 2.0, rows),
+                                 FOUR, 100, 2, 0, 0.0, NoiseOrder.NOISE_AFTER_ENCODING)
+        blocks = math.ceil(rows / (experiment._TABLES_PER_BLOCK // 2))
+        assert calls == {"eigh": blocks, "svd": blocks}
 
 
 class TestReconstruction:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from densecoding import (
     BellLabel,
@@ -24,7 +24,7 @@ from densecoding import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from densecoding.states import _validate_states
+from densecoding.states import _concurrences, _validate_states
 
 BELLS = list(BellLabel)
 PAULIS = list(PauliLabel)
@@ -177,6 +177,86 @@ class TestConcurrence:
     def test_equals_coherence_magnitude(self, kappa):
         rho = shared_state_with_coherence(kappa * np.exp(0.7j))
         assert concurrence(rho) == pytest.approx(kappa, abs=1e-10)
+
+
+# Y x Y in the (HH, HV, VH, VV) basis, written out: the spin flip of the oracles.
+SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def root_eigenvalue_concurrence(rho, rank):
+    """Wootters' route: the square roots l of the `rank` largest eigenvalues of
+    rho (Y x Y) rho* (Y x Y), by a general eigensolver, as max(0, l1 - l2 - ...).
+    Also the smallest root kept: near 0 the route loses digits as eps / l."""
+    mu = np.linalg.eigvals(rho @ SPIN_FLIP @ rho.conj() @ SPIN_FLIP).real
+    roots = np.sort(np.sqrt(np.clip(mu, 0.0, None)))[::-1][:rank]
+    return max(0.0, roots[0] - roots[1:].sum()), roots[-1]
+
+
+class TestConcurrenceOracles:
+    """The one-eigendecomposition kernel against independent closed forms."""
+
+    @given(SEEDS)
+    @settings(deadline=None)
+    def test_pure_states(self, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        expected = abs(np.vdot(psi, SPIN_FLIP @ psi.conj()))
+        assert concurrence(np.outer(psi, psi.conj())) == pytest.approx(expected, abs=1e-12)
+
+    @given(SEEDS, st.sampled_from([0.0, 0.2, 1.0]))
+    @settings(deadline=None)
+    def test_x_states(self, seed, edge_share):
+        # A share of the diagonal entries set to 0 and of the coherences set to
+        # their positivity limit, so rank-deficient X-states are drawn too.
+        rng = np.random.default_rng(seed)
+        diag = rng.dirichlet(np.ones(4)) * (rng.random(4) >= edge_share / 2)
+        assume(diag.sum() > 0.0)
+        diag /= diag.sum()
+        scale = np.where(rng.random(2) < edge_share, 1.0, rng.random(2))
+        phases = np.exp(2j * np.pi * rng.random(2))
+        r14 = scale[0] * math.sqrt(diag[0] * diag[3]) * phases[0]
+        r23 = scale[1] * math.sqrt(diag[1] * diag[2]) * phases[1]
+        rho = np.diag(diag).astype(complex)
+        rho[0, 3], rho[3, 0], rho[1, 2], rho[2, 1] = r14, np.conj(r14), r23, np.conj(r23)
+        expected = 2.0 * max(0.0, abs(r14) - math.sqrt(diag[1] * diag[2]),
+                             abs(r23) - math.sqrt(diag[0] * diag[3]))
+        assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
+
+    @given(SEEDS)
+    @settings(deadline=None)
+    def test_full_rank_states(self, seed):
+        # One tenth of the maximally mixed state keeps every eigenvalue of rho,
+        # hence every root, at or above 0.025, where the oracle holds 1e-14.
+        rho = random_density_matrix(np.random.default_rng(seed))
+        rho = 0.9 * rho + 0.1 * np.eye(4) / 4
+        expected, _ = root_eigenvalue_concurrence(rho, 4)
+        assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
+
+    @given(SEEDS)
+    @settings(deadline=None)
+    def test_rank_two_states(self, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        rho = g @ g.conj().T / np.sum(np.abs(g) ** 2)
+        expected, smallest_root = root_eigenvalue_concurrence(rho, 2)
+        assume(smallest_root > 0.02)  # about 1.5 % of draws; below, the oracle drifts
+        assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
+
+    @given(SEEDS, st.integers(1, 40))
+    @settings(deadline=None)
+    def test_stacked_kernel_equals_the_scalar_route(self, seed, count):
+        rng = np.random.default_rng(seed)
+        states = []
+        for rank in rng.integers(1, 5, size=count):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states.append(g @ g.conj().T / np.sum(np.abs(g) ** 2))
+        states = np.array(states)
+        stacked = _concurrences(*np.linalg.eigh(states))
+        assert stacked.shape == (count,)
+        np.testing.assert_allclose(stacked, [concurrence(rho) for rho in states],
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestDenseCodingCapacity:
