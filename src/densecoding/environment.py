@@ -64,9 +64,9 @@ class DephasingTimes:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_a) and self.t_a >= 0):
-            raise ValueError(f"t_a must be non-negative, got {self.t_a}")
+            raise ValueError(f"t_a must be finite and non-negative, got {self.t_a}")
         if not (math.isfinite(self.t_b) and self.t_b >= 0):
-            raise ValueError(f"t_b must be non-negative, got {self.t_b}")
+            raise ValueError(f"t_b must be finite and non-negative, got {self.t_b}")
 
 
 def _characteristic_function(spec: JointSpectrum, u, v, include_phase: bool = True):
@@ -89,7 +89,7 @@ def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:
     the modulus decays monotonically from 1.
     """
     if not (math.isfinite(t_a) and t_a >= 0):
-        raise ValueError(f"t_a must be non-negative, got {t_a}")
+        raise ValueError(f"t_a must be finite and non-negative, got {t_a}")
     return complex(_characteristic_function(spec, spec.delta_n * t_a, 0.0))
 
 

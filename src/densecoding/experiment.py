@@ -156,26 +156,31 @@ def _best_offsets(kappas: np.ndarray, mis: np.ndarray, curve,
     past the largest f it is the constant sum of m^2.  Running sums of d^2
     and d (d = f - m) above each piece and of m^2 below it give every
     piece's minimiser, clipped to its interval; the least s of least value
-    is kept, and the row's RSS is summed directly at it."""
-    s_hat = np.empty(k_grid.size)
-    rss = np.empty(k_grid.size)
-    above = kappas.size - np.arange(kappas.size + 1)  # points with f > s, piece by piece
+    is kept, and the row's RSS is summed directly at it.  Sorting the points
+    by kappa sorts every row: a visibility kappa^e has e >= (1 - sqrt r)^2,
+    and the MI cannot rise as one falls (a weaker binary symmetric channel is
+    the stronger one followed by another).  A row flat to an ulp may dip by
+    one; np.clip then takes the piece's upper end, still a candidate."""
+    kappas, m = np.stack([kappas, mis])[:, np.argsort(kappas, kind="stable")]
+    above = m.size - np.arange(m.size + 1)  # points with f > s, piece by piece
+    m2_below = np.concatenate(([0.0], np.cumsum(m * m)))
+    sums = np.zeros((2, _PROFILE_ROWS, m.size + 1))  # d^2 and d above each piece
+    ends = np.full((_PROFILE_ROWS, m.size + 2), np.inf)  # piece ends: 0, each f, inf
+    ends[:, 0] = 0.0
+    s_hat, rss = np.empty((2, k_grid.size))
     for lo in range(0, k_grid.size, _PROFILE_ROWS):
         f = curve(kappas, k_grid[lo:lo + _PROFILE_ROWS, None])
-        order = np.argsort(f, axis=1)
+        rows = f.shape[0]
         # At s >= 0, max(f - s, 0) is the same for f and max(f, 0): pieces start at 0.
-        f_sorted, m = np.maximum(np.take_along_axis(f, order, axis=1), 0.0), mis[order]
-        d = f_sorted - m
-        d2_above, d_above = np.pad(np.cumsum(np.stack([d * d, d])[..., ::-1], axis=-1),
-                                   ((0, 0), (0, 0), (1, 0)))[..., ::-1]
-        m2_below = np.pad(np.cumsum(m * m, axis=-1), ((0, 0), (1, 0)))
-        ends = np.pad(f_sorted, ((0, 0), (1, 1)), constant_values=(0.0, np.inf))
-        s = np.clip(d_above / np.maximum(above, 1), ends[:, :-1], ends[:, 1:])
+        d = np.maximum(f, 0.0, out=ends[:rows, 1:-1]) - m
+        np.cumsum(np.stack([d * d, d])[..., ::-1], axis=-1, out=sums[:, :rows, -2::-1])
+        d2_above, d_above = sums[:, :rows]
+        s = np.clip(d_above / np.maximum(above, 1), ends[:rows, :-1], ends[:rows, 1:])
         value = d2_above - 2.0 * s * d_above + above * s * s + m2_below
         s = np.take_along_axis(s, np.argmin(value, axis=1)[:, None], axis=1)
-        resid = np.maximum(f - s, 0.0) - mis
-        s_hat[lo:lo + f.shape[0]] = s[:, 0]
-        rss[lo:lo + f.shape[0]] = np.einsum("kp,kp->k", resid, resid)
+        resid = np.maximum(f - s, 0.0) - m
+        s_hat[lo:lo + rows] = s[:, 0]
+        rss[lo:lo + rows] = np.einsum("kp,kp->k", resid, resid)
     return s_hat, rss
 
 
@@ -273,8 +278,8 @@ def _tomography_probabilities(rho: np.ndarray) -> np.ndarray:
 
 def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.ndarray:
     """Binomially sampled counts for the sixteen projective settings."""
-    if not (n_per_projector >= 1 and n_per_projector % 1 == 0):
-        raise ValueError(f"n_per_projector must be a positive integer, got {n_per_projector}")
+    if not (1 <= n_per_projector <= 2**63 - 1 and n_per_projector % 1 == 0):
+        raise ValueError(f"n_per_projector must be a positive integer < 2**63, got {n_per_projector}")
     probs = expected_tomography_counts(rho, 1.0)
     rng = np.random.default_rng(seed)
     return rng.binomial(n_per_projector, probs)

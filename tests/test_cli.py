@@ -169,6 +169,11 @@ class TestMc:
         assert code == 0
         assert stdout == "kappa_abs,mi_theory,mi_mc_mean,mi_mc_std\n" + expected + "\n"
 
+    def test_rejects_an_infinite_stage_time(self, capsys):
+        code, stdout, stderr = run_cli(["mc", "--t-a=inf"], capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == "error: t_a must be finite and non-negative, got inf\n"
+
     def test_rejects_out_of_range_kappa(self, capsys):
         code, stdout, stderr = run_cli(["mc", "--kappa-abs", "1.5"], capsys)
         assert code == 1

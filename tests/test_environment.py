@@ -75,6 +75,11 @@ class TestDecoherenceFunction:
         with pytest.raises(ValueError):
             decoherence_function(JointSpectrum(), -0.5)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="t_a must be finite and non-negative"):
+            decoherence_function(JointSpectrum(), t)
+
 
 class TestJointDephasingFactor:
     def test_idle_receiver_reduces_to_sender_factor(self):
@@ -343,3 +348,10 @@ class TestJointSpectrumValidation:
             DephasingTimes(-1.0, 0.0)
         with pytest.raises(ValueError):
             DephasingTimes(0.0, -2.0)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_times(self, t):
+        with pytest.raises(ValueError, match="t_a must be finite and non-negative"):
+            DephasingTimes(t, 0.0)
+        with pytest.raises(ValueError, match="t_b must be finite and non-negative"):
+            DephasingTimes(0.0, t)

@@ -284,6 +284,16 @@ class TestTomographyCounts:
         with pytest.raises(ValueError, match="n_per_projector must be a positive integer"):
             tomography_counts(bell_state(BellLabel.PHI_PLUS), n, 0)
 
+    @pytest.mark.parametrize("n", [2**63, float(2**63), 1e300])
+    def test_sampled_counts_need_n_per_projector_below_2_to_the_63(self, n):
+        # numpy draws binomial counts as int64.
+        with pytest.raises(ValueError, match="n_per_projector must be a positive integer"):
+            tomography_counts(bell_state(BellLabel.PHI_PLUS), n, 0)
+
+    def test_sampled_counts_draw_at_2_to_the_62(self):
+        counts = tomography_counts(bell_state(BellLabel.PHI_PLUS), 2**62, 0)
+        assert counts.shape == (16,) and np.all((counts >= 0) & (counts <= 2**62))
+
     def test_integral_n_per_projector_of_any_type_draws_alike(self):
         rho = bell_state(BellLabel.PHI_PLUS)
         expected = tomography_counts(rho, 7, 0)
@@ -679,6 +689,32 @@ class TestRssProfile:
         for i in range(k_grid.size):
             s_alone, rss_alone = _best_offsets(kappas, mis, model, k_grid[i:i + 1])
             assert (s_alone[0], rss_alone[0]) == (s_window[i], rss_window[i])
+
+    @pytest.mark.parametrize("k_grid", [np.array([-0.3]), COARSE_K], ids=["1 row", "201 rows"])
+    def test_one_sort_per_call(self, k_grid, monkeypatch):
+        # The points are sorted by kappa once; no k row is sorted again.
+        calls, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **kw: calls.append(1) or argsort(*a, **kw))
+        kappas, mis = np.array(_seeded_fit_points(0, SchemeVariant.FOUR_STATE)).T
+        _best_offsets(kappas, mis, functools.partial(_mi_curve, scheme=FOUR), k_grid)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("drop", [0.0, 1.0])
+    def test_point_order_does_not_matter(self, drop):
+        # The seeded points come with kappa descending.  Every four-state
+        # model value is at least one bit, so at drop 0 every point lies
+        # above the offset; dropped by one bit, the points of small kappa
+        # fall below it, and a fit that trusted the input order to sort the
+        # model rows picks another offset for some of these orders.
+        points = [(x, max(m - drop, 0.0))
+                  for x, m in _seeded_fit_points(0, SchemeVariant.FOUR_STATE)]
+        shuffled = [points[i] for i in np.random.default_rng(3).permutation(len(points))]
+        fits = [fit_k_s(p, FOUR) for p in (points, shuffled, points[::-1])]
+        for fit in fits[1:]:
+            assert fit.k_hat == fits[0].k_hat
+            assert fit.s_hat == pytest.approx(fits[0].s_hat, rel=1e-12)
+            assert fit.residual_sum_squares == pytest.approx(fits[0].residual_sum_squares,
+                                                             rel=1e-12)
 
     def test_exact_ties_break_as_on_the_full_grid(self):
         # MI = 0 everywhere: every k has RSS exactly 0 with s at or above its

@@ -418,6 +418,26 @@ class TestMiCurve:
             alone = _mi_curve(kappas, ks[where:where + rows, None], scheme, ratio, order)
             np.testing.assert_array_equal(alone, window[where:where + rows])
 
+    @given(st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0), st.floats(0.05, 5.0),
+           st.sampled_from(list(SchemeVariant)), st.sampled_from(list(NoiseOrder)),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_non_decreasing_in_kappa_at_every_k(self, seed, k, ratio, variant, order,
+                                                uniform):
+        # The fit sorts its points by kappa once for every k row.  A sector
+        # visibility kappa^e has e = 1 + r +- 2 sqrt(r) k >= (1 - sqrt r)^2 >= 0,
+        # so it cannot fall as kappa rises.  Inside a sector the channel is
+        # binary symmetric, and one of visibility m1 <= m2 is the m2 channel
+        # followed by one of visibility m1/m2: by data processing the MI
+        # cannot rise as a visibility falls.
+        rng = np.random.default_rng(seed)
+        n = len(EncodingScheme(variant).alphabet)
+        scheme = EncodingScheme(variant, () if uniform else tuple(rng.dirichlet(np.ones(n))))
+        kappas = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 200), [1e-9, 1.0]]))
+        kappas = kappas[kappas > 0.0]
+        curve = _mi_curve(kappas, k, scheme, ratio, order)
+        assert np.diff(curve).min() >= -1e-15
+
     @pytest.mark.parametrize("spec, order", [
         pytest.param(JointSpectrum(c_bb=2.0, k=-0.5), NoiseOrder.NOISE_BEFORE_ENCODING,
                      id="c_bb=2"),
