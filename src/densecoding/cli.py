@@ -34,48 +34,6 @@ from .states import concurrence, density_matrix_to_text
 __all__ = ["main"]
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """--config, --out and one override flag per config key, shared by every subcommand."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="run configuration file")
-    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    for key in CONFIG_DEFAULTS:
-        flag = "--" + key.replace("_", "-")
-        common.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE",
-                            help=f"override config key {key}")
-    return common
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="densecoding",
-        description="Dense-coding simulator over correlated dephasing environments.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    common = [_common_flags()]
-
-    def command(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        sub = subs.add_parser(name, parents=common, help=help_text)
-        sub.set_defaults(func=func)
-        return sub
-
-    command("sweep", _cmd_sweep, "mutual-information sweep CSV over the time grid")
-    mc = command("mc", _cmd_mc, "single-point Monte Carlo MI estimate with error bar")
-    mc.add_argument("--kappa-abs", type=float, metavar="X",
-                    help="coherence magnitude of the shared state (overrides --t-a)")
-    mc.add_argument("--t-a", type=float, metavar="T",
-                    help="noise duration; defaults to the last grid point")
-    fit = command("fit", _cmd_fit, "least-squares (k, s) fit from a CSV of points")
-    fit.add_argument("--in", dest="input_path", required=True, metavar="PATH",
-                     help="CSV of (kappa_abs, mi) points or a sweep CSV")
-    tomo = command("tomo", _cmd_tomo, "reconstruct a state from 16 projector counts")
-    tomo.add_argument("--in", dest="input_path", required=True, metavar="PATH",
-                      help="file with 16 counts (whitespace or comma separated)")
-    tomo.add_argument("--n-per-projector", type=int, metavar="N",
-                      help="shots per projector; defaults to n_per_input")
-    command("show", _cmd_show, "echo the resolved configuration and derived values")
-    return parser
-
-
 def _load_config(args: argparse.Namespace) -> RunConfig:
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     pairs = tokenize_config(text)
@@ -212,9 +170,51 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "sweep": (_cmd_sweep, "mutual-information sweep CSV over the time grid"),
+    "mc": (_cmd_mc, "single-point Monte Carlo MI estimate with error bar"),
+    "fit": (_cmd_fit, "least-squares (k, s) fit from a CSV of points"),
+    "tomo": (_cmd_tomo, "reconstruct a state from 16 projector counts"),
+    "show": (_cmd_show, "echo the resolved configuration and derived values"),
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """Only the subparser argv[0] names; all five for --help, no command or an unknown one."""
+    parser = argparse.ArgumentParser(
+        prog="densecoding",
+        description="Dense-coding simulator over correlated dephasing environments.")
+    commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
+    # With one subparser built, the usage line of an error still lists all five.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, help_text) in commands.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        sub.add_argument("--config", metavar="PATH", help="run configuration file")
+        sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+        for key in CONFIG_DEFAULTS:
+            sub.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}", metavar="VALUE",
+                             help=f"override config key {key}")
+        if name == "mc":
+            sub.add_argument("--kappa-abs", type=float, metavar="X",
+                             help="coherence magnitude of the shared state (overrides --t-a)")
+            sub.add_argument("--t-a", type=float, metavar="T",
+                             help="noise duration; defaults to the last grid point")
+        elif name == "fit":
+            sub.add_argument("--in", dest="input_path", required=True, metavar="PATH",
+                             help="CSV of (kappa_abs, mi) points or a sweep CSV")
+        elif name == "tomo":
+            sub.add_argument("--in", dest="input_path", required=True, metavar="PATH",
+                             help="file with 16 counts (whitespace or comma separated)")
+            sub.add_argument("--n-per-projector", type=int, metavar="N",
+                             help="shots per projector; defaults to n_per_input")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -443,3 +445,93 @@ class TestParser:
         for flag in _CONFIG_FLAGS | extra:
             args = parser.parse_args([command, *required, flag, "1"])
             assert args.command == command
+
+    @pytest.fixture
+    def subparsers_built(self, monkeypatch):
+        """A list that grows by one name per subparser built."""
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(action, name, **kwargs):
+            names.append(name)
+            return add_parser(action, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        return names
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seed", "3"],
+        ["mc", "--t-a", "0.5"],
+        ["fit", "--in", "points.csv"],
+        ["tomo", "--in", "counts.txt", "--n-per-projector", "10"],
+        ["show"],
+    ], ids=lambda argv: argv[0])
+    def test_a_run_builds_only_its_own_subparser(self, argv, subparsers_built):
+        args = _build_parser(argv).parse_args(argv)
+        assert args.command == argv[0]
+        assert subparsers_built == argv[:1]
+
+    def test_main_reads_sys_argv_and_builds_one_subparser(self, subparsers_built, monkeypatch,
+                                                          capsys):
+        monkeypatch.setattr(sys, "argv", ["densecoding", "show"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("omega0 = ")
+        assert subparsers_built == ["show"]
+
+    @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]], ids=["help", "none", "unknown"])
+    def test_help_and_a_missing_or_unknown_command_build_all(self, argv, subparsers_built,
+                                                             capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert subparsers_built == ["sweep", "mc", "fit", "tomo", "show"]
+
+    @pytest.mark.parametrize("command", ["sweep", "mc", "fit", "tomo", "show"])
+    def test_subcommand_help_equals_the_all_commands_parser(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            _build_parser().parse_args([command, "--help"])
+        assert exit_info.value.code == 0
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == expected
+
+    def test_top_level_help_is_unchanged(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == (_TOP_USAGE + """
+Dense-coding simulator over correlated dephasing environments.
+
+positional arguments:
+  {sweep,mc,fit,tomo,show}
+    sweep               mutual-information sweep CSV over the time grid
+    mc                  single-point Monte Carlo MI estimate with error bar
+    fit                 least-squares (k, s) fit from a CSV of points
+    tomo                reconstruct a state from 16 projector counts
+    show                echo the resolved configuration and derived values
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' "
+                    "(choose from 'sweep', 'mc', 'fit', 'tomo', 'show')"),
+        (["sweep", "--bogus"], "unrecognized arguments: --bogus"),
+        (["tomo", "--in", "counts.txt", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ], ids=["missing command", "unknown command", "unknown sweep flag", "unknown tomo flag"])
+    def test_usage_errors_are_unchanged(self, argv, message, monkeypatch, capsys):
+        # An unknown flag after a valid command is reported by the top-level
+        # parser, so its usage line must still list every command.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr() == ("", f"{_TOP_USAGE}densecoding: error: {message}\n")
+
+
+_TOP_USAGE = "usage: densecoding [-h] {sweep,mc,fit,tomo,show} ...\n"

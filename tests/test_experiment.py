@@ -647,33 +647,54 @@ def _seeded_fit_points(seed, variant):
     return list(zip(kappas, mis.tolist()))
 
 
+def _offsets_against_a_dense_s_scan(variant, n, seed, ratio, order, drop):
+    """Check ``_best_offsets`` on one random draw against a dense s scan that
+    holds every model value; return the number of k rows whose offset lies
+    above the row's smallest model value."""
+    rng = np.random.default_rng(seed)
+    model = functools.partial(_mi_curve, scheme=EncodingScheme(variant),
+                              variance_ratio=ratio, noise_order=order)
+    kappas = 1.0 - rng.uniform(0.0, 1.0, n)
+    # Tiny kappas put many model values at the same end of the curve.
+    kappas[rng.random(n) < 0.1] = 1e-9
+    mis = rng.uniform(0.0, 2.0, n)
+    k_grid = np.concatenate([rng.uniform(-1.0, 1.0, 5), [-1.0, 0.0, 1.0]])
+    f = model(kappas, k_grid[rng.integers(k_grid.size)])
+    exact = rng.random(n) < 0.3
+    mis[exact] = f[exact]
+    # Every model value is at least 0.918 bits, and with MI on [0, 2] the
+    # offset stays below them all; one bit lower, it reaches the later pieces.
+    mis -= drop
+    s_hat, rss = _best_offsets(kappas, mis, model, k_grid)
+    assert np.all(s_hat >= 0.0)
+    above = 0
+    for k, s, value in zip(k_grid, s_hat, rss):
+        f = model(kappas, k)
+        above += s > f.min()
+        # Every model value is on the scan, so every piece's ends are too.
+        scan = np.union1d(np.linspace(0.0, 2.5, 2501), f[f >= 0.0])
+        resid = np.maximum(f - scan[:, None], 0.0) - mis
+        assert value <= np.einsum("sp,sp->s", resid, resid).min() + 1e-12
+        resid = np.maximum(f - s, 0.0) - mis
+        assert value == pytest.approx(resid @ resid, rel=1e-12, abs=1e-15)
+    return above
+
+
 class TestRssProfile:
     @given(st.sampled_from(list(SchemeVariant)), st.integers(2, 500),
            st.integers(0, 2**32 - 1), st.sampled_from([1.0, 0.3, 2.5]),
-           st.sampled_from(list(NoiseOrder)))
+           st.sampled_from(list(NoiseOrder)), st.sampled_from([0.0, 1.0]))
     @settings(max_examples=12, deadline=None)
-    def test_offsets_match_a_dense_s_scan(self, variant, n, seed, ratio, order):
-        rng = np.random.default_rng(seed)
-        model = functools.partial(_mi_curve, scheme=EncodingScheme(variant),
-                                  variance_ratio=ratio, noise_order=order)
-        kappas = 1.0 - rng.uniform(0.0, 1.0, n)
-        # Tiny kappas put many model values at the same end of the curve.
-        kappas[rng.random(n) < 0.1] = 1e-9
-        mis = rng.uniform(0.0, 2.0, n)
-        k_grid = np.concatenate([rng.uniform(-1.0, 1.0, 5), [-1.0, 0.0, 1.0]])
-        f = model(kappas, k_grid[rng.integers(k_grid.size)])
-        exact = rng.random(n) < 0.3
-        mis[exact] = f[exact]
-        s_hat, rss = _best_offsets(kappas, mis, model, k_grid)
-        assert np.all(s_hat >= 0.0)
-        for k, s, value in zip(k_grid, s_hat, rss):
-            f = model(kappas, k)
-            # Every model value is on the scan, so every piece's ends are too.
-            scan = np.union1d(np.linspace(0.0, 2.5, 2501), f[f >= 0.0])
-            resid = np.maximum(f - scan[:, None], 0.0) - mis
-            assert value <= np.einsum("sp,sp->s", resid, resid).min() + 1e-12
-            resid = np.maximum(f - s, 0.0) - mis
-            assert value == pytest.approx(resid @ resid, rel=1e-12, abs=1e-15)
+    def test_offsets_match_a_dense_s_scan(self, variant, n, seed, ratio, order, drop):
+        _offsets_against_a_dense_s_scan(variant, n, seed, ratio, order, drop)
+
+    @pytest.mark.parametrize("ratio", [1.0, 0.3, 2.5])
+    @pytest.mark.parametrize("order", list(NoiseOrder))
+    @pytest.mark.parametrize("variant", list(SchemeVariant))
+    def test_lowered_draws_put_offsets_above_model_values(self, variant, order, ratio):
+        # The scan check above is only as good as the pieces its draws reach:
+        # with MI one bit lower, offsets lie above some model values.
+        assert _offsets_against_a_dense_s_scan(variant, 300, 0, ratio, order, 1.0) > 0
 
     @pytest.mark.parametrize("variant", list(SchemeVariant))
     def test_a_k_alone_gets_the_bits_it_gets_in_a_window(self, variant):
