@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -181,15 +183,18 @@ _COMMANDS = {
 
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """Only the subparser argv[0] names; all five for --help, no command or an unknown one."""
+    # argparse makes a formatter per add_argument; each would read the terminal size.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="densecoding",
+        prog="densecoding", formatter_class=formatter,
         description="Dense-coding simulator over correlated dephasing environments.")
     commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
     # With one subparser built, the usage line of an error still lists all five.
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (func, help_text) in commands.items():
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
         sub.set_defaults(func=func)
         sub.add_argument("--config", metavar="PATH", help="run configuration file")
         sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")

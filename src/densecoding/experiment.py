@@ -141,8 +141,10 @@ def estimate_mi_with_errors(table: ConditionalTable, scheme: EncodingScheme,
     return float(mean), float(std)
 
 
-# k rows of the RSS profile per pass, so its temporaries stay near 100 KB.
+# k rows of the RSS profile per pass: at least 16, and more while each
+# temporary holds under 16 000 elements (about 100 KB), as for fewer points.
 _PROFILE_ROWS = 16
+_PROFILE_ELEMENTS = 16_000
 # Moves of a refinement window along a valley before it stops regardless.
 _MAX_WINDOW_MOVES = 100
 
@@ -164,12 +166,17 @@ def _best_offsets(kappas: np.ndarray, mis: np.ndarray, curve,
     kappas, m = np.stack([kappas, mis])[:, np.argsort(kappas, kind="stable")]
     above = m.size - np.arange(m.size + 1)  # points with f > s, piece by piece
     m2_below = np.concatenate(([0.0], np.cumsum(m * m)))
-    sums = np.zeros((2, _PROFILE_ROWS, m.size + 1))  # d^2 and d above each piece
-    ends = np.full((_PROFILE_ROWS, m.size + 2), np.inf)  # piece ends: 0, each f, inf
+    # Passes of even size: numpy sums a lone row of over 8192 points in
+    # another order than a row among others, which would move its RSS by an ulp.
+    passes = max(1, -(-k_grid.size // max(_PROFILE_ROWS, _PROFILE_ELEMENTS // m.size)))
+    edges = [k_grid.size * i // passes for i in range(passes + 1)]
+    width = -(-k_grid.size // passes)  # rows of the largest pass
+    sums = np.zeros((2, width, m.size + 1))  # d^2 and d above each piece
+    ends = np.full((width, m.size + 2), np.inf)  # piece ends: 0, each f, inf
     ends[:, 0] = 0.0
     s_hat, rss = np.empty((2, k_grid.size))
-    for lo in range(0, k_grid.size, _PROFILE_ROWS):
-        f = curve(kappas, k_grid[lo:lo + _PROFILE_ROWS, None])
+    for lo, hi in zip(edges, edges[1:]):
+        f = curve(kappas, k_grid[lo:hi, None])
         rows = f.shape[0]
         # At s >= 0, max(f - s, 0) is the same for f and max(f, 0): pieces start at 0.
         d = np.maximum(f, 0.0, out=ends[:rows, 1:-1]) - m
@@ -179,9 +186,42 @@ def _best_offsets(kappas: np.ndarray, mis: np.ndarray, curve,
         value = d2_above - 2.0 * s * d_above + above * s * s + m2_below
         s = np.take_along_axis(s, np.argmin(value, axis=1)[:, None], axis=1)
         resid = np.maximum(f - s, 0.0) - m
-        s_hat[lo:lo + rows] = s[:, 0]
-        rss[lo:lo + rows] = np.einsum("kp,kp->k", resid, resid)
+        s_hat[lo:hi] = s[:, 0]
+        rss[lo:hi] = np.einsum("kp,kp->k", resid, resid)
     return s_hat, rss
+
+
+# Every _SCREEN_STRIDE-th point in kappa order bounds a coarse row's RSS from below.
+_SCREEN_STRIDE = 8
+
+
+def _screened_offsets(kappas: np.ndarray, mis: np.ndarray, curve,
+                      k_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_best_offsets`` on the rows of ``k_grid`` that can hold the least RSS;
+    every other row gets RSS +inf and offset 0.
+
+    At any s >= 0 the RSS over a subset of the points is at most the RSS over
+    all of them, so a subset's least RSS at k bounds the row's least RSS from
+    below.  The subset is every _SCREEN_STRIDE-th point in kappa order.  The
+    row of least bound is evaluated in full, giving an RSS U, and then every
+    row whose bound is at most U + eps.  A skipped row's RSS exceeds U: it can
+    join neither the minimum nor its ties, and a kept row's bits do not depend
+    on the rows evaluated with it."""
+    # eps covers rounding.  Model MI lie in [0, 2] bits and offsets in
+    # [0, max f], so every residual and every d = f - m is at most 2 + |m| in
+    # size, and B = sum (2 + |m|)^2 bounds every RSS and (as s <= 2) every
+    # term of a piece value.  With u = 2^-53, a direct row sum errs by at most
+    # about n u B and a piece value by (4 n + 17) u B, so picking the wrong
+    # piece costs the subset's n / 8 + 1 points at most (n + 42) u B.  The
+    # three add up to under (2.2 n + 43) u B <= 16 (n + 1) u B = eps for n >= 2.
+    sub = np.argsort(kappas, kind="stable")[::_SCREEN_STRIDE]
+    _, bound = _best_offsets(kappas[sub], mis[sub], curve, k_grid)
+    _, upper = _best_offsets(kappas, mis, curve, k_grid[[np.argmin(bound)]])
+    eps = 8 * (mis.size + 1) * 2.0**-52 * np.sum((2.0 + np.abs(mis)) ** 2)
+    keep = np.flatnonzero(bound <= upper[0] + eps)
+    offsets, rss = np.zeros(k_grid.size), np.full(k_grid.size, np.inf)
+    offsets[keep], rss[keep] = _best_offsets(kappas, mis, curve, k_grid[keep])
+    return offsets, rss
 
 
 def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
@@ -193,7 +233,10 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
     Deterministic search over k alone: for each k the offset s >= 0 is
     exact (see ``_best_offsets``), so no s grid bounds it.  k runs over the
     multiples of 0.01 in [-1, 1], then over two refinement levels on the
-    lattices of steps 0.001 and 0.0001.  A level searches 21 lattice points
+    lattices of steps 0.001 and 0.0001.  The coarse level evaluates in full
+    only the rows that every eighth point in kappa order cannot rule out: a
+    subset's least RSS bounds a row's from below (see ``_screened_offsets``),
+    so the result is the full search's.  A level searches 21 lattice points
     around the current optimum and re-centres them while the optimum lies
     on a window end that is not -1 or 1, so it follows the valley along
     which k and s trade off.  Ties go to smaller |k|, then smaller s, then
@@ -225,7 +268,8 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
             if scale > 100:
                 lattice = np.unique(np.clip(n_hat + np.arange(-10, 11), -scale, scale))
             k_grid = lattice / scale
-            offsets, rss = _best_offsets(kappas, mis, curve, k_grid)
+            profile = _screened_offsets if scale == 100 else _best_offsets
+            offsets, rss = profile(kappas, mis, curve, k_grid)
             tied = np.flatnonzero(rss == rss.min())
             best = tied[np.lexsort((k_grid[tied], offsets[tied], np.abs(k_grid[tied])))[0]]
             n_hat = int(lattice[best])

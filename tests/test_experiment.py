@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from densecoding.experiment import (
     _draw_counts,
     _best_offsets,
     _reconstruct,
+    _screened_offsets,
     _tomography_probabilities,
 )
 from densecoding.protocol import _mi_curve
@@ -698,8 +700,8 @@ class TestRssProfile:
 
     @pytest.mark.parametrize("variant", list(SchemeVariant))
     def test_a_k_alone_gets_the_bits_it_gets_in_a_window(self, variant):
-        # A refinement window clipped at k = +-1 leaves one or two k in its
-        # last pass of _PROFILE_ROWS rows; their RSS must not move by an ulp.
+        # The coarse screen and the refinement windows evaluate a k among
+        # other rows or alone; its RSS must not move by an ulp.
         # Noisy points of the curve at k = 0, where the exponent is 2 at r = 1.
         rng = np.random.default_rng(11)
         kappas = rng.uniform(0.05, 1.0, 1000)
@@ -763,6 +765,98 @@ class TestRssProfile:
         assert fit.k_hat == pytest.approx(k_grid, abs=1e-3)
         assert fit.s_hat == pytest.approx(s_grid, abs=1e-3)
         assert fit.n_points == 1000
+
+
+def _screen_draw(variant, order, ratio, uniform, n, mode, seed):
+    """A curve and points for the screen: kappas with repeats, and MI of the
+    model at a random (k, s), exact, noisy or replaced by pure noise."""
+    rng = np.random.default_rng(seed)
+    size = len(EncodingScheme(variant).priors)
+    scheme = EncodingScheme(variant, () if uniform else tuple(rng.dirichlet(np.ones(size))))
+    model = functools.partial(_mi_curve, scheme=scheme, variance_ratio=ratio, noise_order=order)
+    kappas = rng.uniform(0.01, 1.0, n)
+    kappas[rng.random(n) < 0.3] = kappas[0]
+    mis = np.maximum(model(kappas, rng.uniform(-1.0, 1.0)) - rng.uniform(0.0, 0.2), 0.0)
+    if mode == "noisy":
+        mis += rng.normal(0.0, 0.01, n)
+    elif mode == "noise":
+        mis = rng.uniform(0.0, 2.0, n)
+    return scheme, model, kappas, mis
+
+
+_SCREEN_DRAWS = (st.sampled_from(list(SchemeVariant)), st.sampled_from(list(NoiseOrder)),
+                 st.floats(0.2, 5.0), st.booleans(),
+                 st.one_of(st.integers(2, 9), st.integers(10, 300)),
+                 st.sampled_from(["exact", "noisy", "noise"]), st.integers(0, 2**32 - 1))
+
+
+class TestCoarseScreen:
+    @given(*_SCREEN_DRAWS)
+    @settings(max_examples=40, deadline=None)
+    def test_screen_equals_the_full_coarse_profile(self, variant, order, ratio, uniform, n,
+                                                   mode, seed):
+        scheme, model, kappas, mis = _screen_draw(variant, order, ratio, uniform, n, mode, seed)
+        s_full, rss_full = _best_offsets(kappas, mis, model, COARSE_K)
+        s_kept, rss_kept = _screened_offsets(kappas, mis, model, COARSE_K)
+        kept = np.isfinite(rss_kept)
+        assert kept.any()
+        # A kept row has its own bits; a skipped one could not hold the minimum.
+        assert np.array_equal(s_kept[kept], s_full[kept])
+        assert np.array_equal(rss_kept[kept], rss_full[kept])
+        assert np.all(rss_full[~kept] > rss_full.min())
+        points = list(zip(kappas.tolist(), mis.tolist()))
+        fit = fit_k_s(points, scheme, ratio, order)
+        with mock.patch.object(experiment, "_screened_offsets", _best_offsets):
+            assert fit_k_s(points, scheme, ratio, order) == fit
+
+    @given(*_SCREEN_DRAWS, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_a_subset_bounds_each_row_from_below(self, variant, order, ratio, uniform, n, mode,
+                                                 seed, strided):
+        _, model, kappas, mis = _screen_draw(variant, order, ratio, uniform, n, mode, seed)
+        if strided:  # the screen's subset
+            sub = np.argsort(kappas, kind="stable")[::experiment._SCREEN_STRIDE]
+        else:  # any non-empty subset
+            rng = np.random.default_rng([seed, 1])
+            sub = np.flatnonzero((rng.random(n) < 0.5) | (np.arange(n) == rng.integers(n)))
+        _, bound = _best_offsets(kappas[sub], mis[sub], model, COARSE_K)
+        _, rss = _best_offsets(kappas, mis, model, COARSE_K)
+        # The screen's allowance for rounding, as in _screened_offsets.
+        eps = 8 * (n + 1) * 2.0**-52 * np.sum((2.0 + np.abs(mis)) ** 2)
+        assert np.all(bound <= rss + eps)
+
+    @pytest.mark.parametrize("variant", list(SchemeVariant))
+    def test_most_coarse_rows_are_skipped(self, variant, monkeypatch):
+        # Seeded model-plus-noise points: fewer than half of the 201 coarse
+        # rows reach the full evaluation, whether asked for directly or by the fit.
+        kappas, mis = np.array(_seeded_fit_points(0, variant)).T
+        model = functools.partial(_mi_curve, scheme=EncodingScheme(variant))
+        full_rows, best_offsets = [], _best_offsets
+
+        def counted(kappas, mis, curve, k_grid):
+            if kappas.size == 1000:
+                full_rows.extend(np.round(k_grid * 10_000).astype(int).tolist())
+            return best_offsets(kappas, mis, curve, k_grid)
+
+        monkeypatch.setattr(experiment, "_best_offsets", counted)
+        _screened_offsets(kappas, mis, model, COARSE_K)
+        assert len(full_rows) < COARSE_K.size / 2
+        full_rows.clear()
+        fit_k_s(zip(kappas, mis), EncodingScheme(variant))
+        # Refinement windows reach a few multiples of 0.01 too.
+        assert sum(n % 100 == 0 for n in full_rows) < COARSE_K.size / 2
+
+    def test_a_lone_row_of_many_points_keeps_its_bits(self):
+        # Over 8192 points numpy sums a lone einsum row in another order; a
+        # window of 17 k rows must not leave one alone in its last pass.
+        rng = np.random.default_rng(5)
+        kappas = rng.uniform(0.05, 1.0, 9000)
+        model = functools.partial(_mi_curve, scheme=FOUR)
+        mis = model(kappas, -0.3) - 0.05 + rng.normal(0.0, 0.005, kappas.size)
+        s_all, rss_all = _best_offsets(kappas, mis, model, COARSE_K)
+        s_window, rss_window = _best_offsets(kappas, mis, model, COARSE_K[-17:])
+        assert np.array_equal(s_window, s_all[-17:])
+        assert np.array_equal(rss_window, rss_all[-17:])
 
 
 class TestFitOnMonteCarloData:
