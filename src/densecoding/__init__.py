@@ -75,7 +75,12 @@ def _use_one_blas_thread() -> None:
 
 def main() -> int:
     """Entry point of the installed ``densecoding`` script."""
+    import gc  # here: a library import of the package loads nothing new
+
     _use_one_blas_thread()
     from .cli import main as cli_main
 
+    # Frozen, the import-time heap is never walked again by a collection, in
+    # the run or at exit; reference counting still frees it.
+    gc.freeze()
     return cli_main()

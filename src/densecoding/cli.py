@@ -228,4 +228,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    import gc
+
+    gc.freeze()  # see densecoding.main
     raise SystemExit(main())

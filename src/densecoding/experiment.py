@@ -266,7 +266,7 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
     for scale in (100, 1_000, 10_000):
         for _ in range(_MAX_WINDOW_MOVES):
             if scale > 100:
-                lattice = np.unique(np.clip(n_hat + np.arange(-10, 11), -scale, scale))
+                lattice = np.arange(max(n_hat - 10, -scale), min(n_hat + 10, scale) + 1)
             k_grid = lattice / scale
             profile = _screened_offsets if scale == 100 else _best_offsets
             offsets, rss = profile(kappas, mis, curve, k_grid)

@@ -188,6 +188,19 @@ class TestFit:
         assert abs(fit.k_hat - (-0.99995)) <= 1e-4
         assert abs(fit.s_hat - 0.0975) <= 1e-3
 
+    @pytest.mark.parametrize("variant,k_true,expected", [
+        (SchemeVariant.THREE_STATE, 1.0, (1.0, 0.050000000000000044, 0.0)),
+        (SchemeVariant.FOUR_STATE, -1.0, (-1.0, 0.050000000000000044, 0.0)),
+        (SchemeVariant.FOUR_STATE, 0.99995, (1.0, 0.049997769365350234, 7.711043163055089e-11)),
+    ])
+    def test_windows_clipped_at_the_ends_of_k(self, variant, k_true, expected):
+        # A k_hat of -1 or 1 clips the 21-point window of both refinement
+        # levels to its 11 lattice points inside [-1, 1].  Pinned values.
+        kappas = np.linspace(0.1, 0.95, 10)
+        scheme = EncodingScheme(variant)
+        mis = _mi_curve(kappas, k_true, scheme) - 0.05
+        assert fit_k_s(zip(kappas, mis), scheme) == experiment.FitResult(*expected, 10)
+
     def test_constant_ideal_curve(self):
         pts = [(k, math.log2(3.0)) for k in (0.2, 0.4, 0.6, 0.8)]
         fit = fit_k_s(pts, THREE)

@@ -1,5 +1,6 @@
 """The lazy package namespace, the command line's BLAS thread default and
-the demos, each checked in fresh interpreters where import order matters."""
+import-heap freeze, the bytes of the process route and the demos, each
+checked in fresh interpreters where import order matters."""
 
 import importlib
 import json
@@ -36,6 +37,11 @@ PUBLIC_NAMES = [
     "simulate_protocol", "sweep_rows_to_csv", "tomography_counts",
     "validate_density_matrix", "von_neumann_entropy",
 ]
+
+
+# (kappa_abs, mi) points for fit, and 16 tomography counts of 100 shots each.
+FIT_POINTS = "kappa_abs,mi\n0.2,0.31\n0.4,0.58\n0.6,0.87\n0.8,1.21\n0.95,1.52\n"
+TOMO_COUNTS = "50 0 25 25 0 50 25 25 25 25 9 41 25 25 41 9\n"
 
 
 def run_python(*args, **env_changes):
@@ -79,6 +85,14 @@ class TestLazyPackage:
         out = run_python("-c", "import densecoding\n"
                          f"for m in {SUBMODULES!r}: print(getattr(densecoding, m).__name__)")
         assert out.split() == [f"densecoding.{m}" for m in SUBMODULES]
+
+    def test_fit_loads_no_numpy_ma(self, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text(FIT_POINTS, encoding="utf-8")
+        out = run_python("-c", "import sys, densecoding.cli\n"
+                         f"assert densecoding.cli.main(['fit', '--in', {str(points)!r}]) == 0\n"
+                         "print('numpy.ma' in sys.modules)")
+        assert out.splitlines()[-1] == "False"
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -138,6 +152,45 @@ class TestBlasThreadDefault:
         out = run_python("-c", "import os, densecoding, densecoding.cli, numpy\n"
                          f"print([os.environ.get(v) for v in {THREAD_VARIABLES!r}])")
         assert out.strip() == "[None, None, None]"
+
+
+# Prints the size of the collector's permanent generation as the process exits.
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(gc.get_freeze_count()))
+sys.argv = ["densecoding", "show"]
+{route}
+"""
+
+
+def freeze_count(route):
+    return int(run_python("-c", FREEZE_PROBE.format(route=route)).splitlines()[-1])
+
+
+class TestImportHeapFreeze:
+    @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+    def test_process_routes_freeze_the_import_heap(self, route):
+        assert freeze_count(route) > 0
+
+    def test_in_process_main_leaves_the_collector_alone(self):
+        assert freeze_count("import densecoding.cli\n"
+                            "assert densecoding.cli.main(['show']) == 0") == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["show", "--scheme", "FOUR_STATE", "--k=-0.5"],
+    ["fit", "--in", "{dir}/points.csv"],
+    ["tomo", "--in", "{dir}/counts.txt", "--n-per-projector", "100"],
+], ids=lambda argv: argv[0])
+def test_process_route_writes_the_bytes_of_main(argv, tmp_path, capsys):
+    (tmp_path / "points.csv").write_text(FIT_POINTS, encoding="utf-8")
+    (tmp_path / "counts.txt").write_text(TOMO_COUNTS, encoding="utf-8")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    stdout = run_python("-m", "densecoding.cli", *argv, "--out", str(tmp_path / "process.out"))
+    assert densecoding.cli.main([*argv, "--out", str(tmp_path / "main.out")]) == 0
+    assert capsys.readouterr().out == stdout
+    assert (tmp_path / "process.out").read_bytes() == (tmp_path / "main.out").read_bytes()
+    assert (tmp_path / "main.out").stat().st_size > 0
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
