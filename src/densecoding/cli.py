@@ -40,7 +40,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     pairs = tokenize_config(text)
     for key in CONFIG_DEFAULTS:
-        override = getattr(args, f"cfg_{key}")
+        override = getattr(args, f"cfg_{key}", None)
         if override is not None:
             pairs.append((key, override, f"command-line flag --{key.replace('_', '-')}"))
     return build_config(pairs)
@@ -172,12 +172,15 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+# One override flag per config key a command reads; --out sets the output path.
+_RUN_KEYS = tuple(key for key in CONFIG_DEFAULTS if key != "output_path")
 _COMMANDS = {
-    "sweep": (_cmd_sweep, "mutual-information sweep CSV over the time grid"),
-    "mc": (_cmd_mc, "single-point Monte Carlo MI estimate with error bar"),
-    "fit": (_cmd_fit, "least-squares (k, s) fit from a CSV of points"),
-    "tomo": (_cmd_tomo, "reconstruct a state from 16 projector counts"),
-    "show": (_cmd_show, "echo the resolved configuration and derived values"),
+    "sweep": (_cmd_sweep, "mutual-information sweep CSV over the time grid", _RUN_KEYS),
+    "mc": (_cmd_mc, "single-point Monte Carlo MI estimate with error bar", _RUN_KEYS),
+    "fit": (_cmd_fit, "least-squares (k, s) fit from a CSV of points",
+            ("c_aa", "c_bb", "scheme", "noise_order", "priors")),
+    "tomo": (_cmd_tomo, "reconstruct a state from 16 projector counts", ()),
+    "show": (_cmd_show, "echo the resolved configuration and derived values", _RUN_KEYS),
 }
 
 
@@ -186,19 +189,20 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     # argparse makes a formatter per add_argument; each would read the terminal size.
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
+    # No abbreviations: a prefix would turn a flag the command lacks into another.
     parser = argparse.ArgumentParser(
-        prog="densecoding", formatter_class=formatter,
+        prog="densecoding", formatter_class=formatter, allow_abbrev=False,
         description="Dense-coding simulator over correlated dephasing environments.")
     commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
     # With one subparser built, the usage line of an error still lists all five.
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (func, help_text) in commands.items():
-        sub = subs.add_parser(name, help=help_text, formatter_class=formatter)
+    for name, (func, help_text, keys) in commands.items():
+        sub = subs.add_parser(name, help=help_text, formatter_class=formatter, allow_abbrev=False)
         sub.set_defaults(func=func)
         sub.add_argument("--config", metavar="PATH", help="run configuration file")
         sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        for key in CONFIG_DEFAULTS:
+        for key in keys:
             sub.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}", metavar="VALUE",
                              help=f"override config key {key}")
         if name == "mc":

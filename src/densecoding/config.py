@@ -90,6 +90,14 @@ def _parse_int(key: str, value: str, where: str) -> int:
         raise ConfigError(f"{where}: key {key!r}: malformed integer {value!r}") from None
 
 
+def _parse_choice(key: str, value: str, where: str, choices: type):
+    try:
+        return choices(value)
+    except ValueError:
+        names = " or ".join(member.value for member in choices)
+        raise ConfigError(f"{where}: key {key!r}: expected {names}, got {value!r}") from None
+
+
 def build_config(pairs: list[tuple[str, str, str]]) -> RunConfig:
     """Resolve key/value pairs (later occurrences win) into a RunConfig."""
     values = dict(CONFIG_DEFAULTS)
@@ -114,20 +122,12 @@ def build_config(pairs: list[tuple[str, str, str]]) -> RunConfig:
         raise ConfigError(f"{where['n_per_input']}: key 'n_per_input': must be positive")
     if ints["trials"] < 2:
         raise ConfigError(f"{where['trials']}: key 'trials': must be at least 2")
+    if ints["seed"] < 0:
+        raise ConfigError(f"{where['seed']}: key 'seed': must be non-negative")
 
-    try:
-        spectrum = JointSpectrum(omega0=floats["omega0"], c_aa=floats["c_aa"],
-                                 c_bb=floats["c_bb"], k=floats["k"],
-                                 delta_n=floats["delta_n"])
-    except ValueError as exc:
-        raise ConfigError(f"config spectrum invalid: {exc}") from None
-
-    try:
-        variant = SchemeVariant(values["scheme"])
-    except ValueError:
-        raise ConfigError(
-            f"{where['scheme']}: key 'scheme': expected THREE_STATE or FOUR_STATE, "
-            f"got {values['scheme']!r}") from None
+    spectrum = JointSpectrum(omega0=floats["omega0"], c_aa=floats["c_aa"],
+                             c_bb=floats["c_bb"], k=floats["k"], delta_n=floats["delta_n"])
+    variant = _parse_choice("scheme", values["scheme"], where["scheme"], SchemeVariant)
     priors: tuple[float, ...] = ()
     if values["priors"]:
         priors = tuple(_parse_float("priors", tok.strip(), where["priors"])
@@ -137,12 +137,8 @@ def build_config(pairs: list[tuple[str, str, str]]) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{where['priors']}: key 'priors': {exc}") from None
 
-    try:
-        noise_order = NoiseOrder(values["noise_order"])
-    except ValueError:
-        raise ConfigError(
-            f"{where['noise_order']}: key 'noise_order': expected NOISE_BEFORE_ENCODING "
-            f"or NOISE_AFTER_ENCODING, got {values['noise_order']!r}") from None
+    noise_order = _parse_choice("noise_order", values["noise_order"], where["noise_order"],
+                                NoiseOrder)
 
     if values["t_list"]:
         grid = tuple(_parse_float("t_list", tok.strip(), where["t_list"])
@@ -155,8 +151,6 @@ def build_config(pairs: list[tuple[str, str, str]]) -> RunConfig:
             raise ConfigError(f"{where['t_stop']}: key 't_stop': must be >= t_start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         grid = tuple(start + i * step for i in range(count))
-    if not grid:
-        raise ConfigError(f"{where['t_list']}: key 't_list': time grid must not be empty")
     if any(not math.isfinite(t) or t < 0 for t in grid):
         raise ConfigError("time grid values must be finite and non-negative")
 

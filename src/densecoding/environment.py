@@ -88,9 +88,7 @@ def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:
     Closed Gaussian form exp(i t_a dn omega0 / 2) * exp(-c_aa dn^2 t_a^2 / 2);
     the modulus decays monotonically from 1.
     """
-    if not (math.isfinite(t_a) and t_a >= 0):
-        raise ValueError(f"t_a must be finite and non-negative, got {t_a}")
-    return complex(_characteristic_function(spec, spec.delta_n * t_a, 0.0))
+    return complex(_characteristic_function(spec, spec.delta_n * DephasingTimes(t_a, 0.0).t_a, 0.0))
 
 
 def joint_dephasing_factor(spec: JointSpectrum, times: DephasingTimes) -> complex:

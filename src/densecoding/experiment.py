@@ -295,9 +295,10 @@ TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
 
 # Design matrix of the linear state-to-frequency map: row i is the transpose
 # of the projector |a b><a b| of setting i, flattened, so that
-# A @ rho.flatten() gives Tr(P_i rho).
-_DESIGN = np.array([np.kron(ket.conj(), ket) for ket in
-                    (np.kron(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS)])
+# A @ rho.flatten() gives Tr(P_i rho); the products are np.kron's, broadcast.
+_KET_PAIRS = np.array([(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS])
+_SETTING_KETS = (_KET_PAIRS[:, 0, :, None] * _KET_PAIRS[:, 1, None, :]).reshape(16, 4)
+_DESIGN = (_SETTING_KETS.conj()[:, :, None] * _SETTING_KETS[:, None, :]).reshape(16, 16)
 assert np.linalg.matrix_rank(_DESIGN) == 16, "tomography design matrix is singular"
 _DESIGN_INV = np.linalg.inv(_DESIGN)
 _DESIGN.setflags(write=False)

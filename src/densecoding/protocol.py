@@ -166,6 +166,8 @@ class ConditionalTable:
 
 def _checked_probabilities(p: np.ndarray) -> np.ndarray:
     """Check p(y|x) tables shaped (..., inputs, outcomes); return them clipped at 0."""
+    if not np.all(np.isfinite(p)):
+        raise ValueError("conditional probabilities must be finite")
     if np.any(p < -_ROW_SUM_TOL):
         raise ValueError("conditional probabilities must be non-negative")
     sums = p.sum(axis=-1)

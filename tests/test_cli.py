@@ -2,7 +2,9 @@
 
 import argparse
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import densecoding
 from densecoding import (
     BellLabel,
     DephasingTimes,
@@ -28,6 +31,10 @@ from densecoding import (
     sweep_rows_to_csv,
 )
 from densecoding.cli import _build_parser, main
+from densecoding.config import CONFIG_DEFAULTS
+
+
+SRC = Path(densecoding.__file__).resolve().parents[1]
 
 
 def run_cli(args, capsys):
@@ -120,6 +127,20 @@ class TestShow:
         assert "scheme = THREE_STATE" in stdout
         assert "k = -1" in stdout
         assert "n_per_input = 10000" in stdout
+
+    @pytest.mark.parametrize("command", ["show", "sweep"])
+    def test_overflowing_time_exits_1(self, command):
+        # At t = 1e300 the dephasing exponent overflows to NaN.  Run out of
+        # process: pytest turns the overflow warnings into exceptions.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "densecoding.cli", command, "--t-list", "0, 1e300",
+             "--trials", "2", "--n-per-input", "10"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.endswith("\nerror: conditional probabilities must be finite\n")
+        assert proc.stderr.count("error:") == 1
 
 
 class TestMc:
@@ -354,6 +375,16 @@ class TestFit:
         assert stdout == ""
         assert stderr.startswith("error: ") and "finite" in stderr
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no data rows"),
+        ("kappa_abs,x\n0.5,0.3\n", "no mi or mi_mc_mean column next to kappa_abs"),
+    ], ids=["empty", "no_mi_column"])
+    def test_unusable_points_file_exits_1(self, text, message, tmp_path, capsys):
+        data = tmp_path / "points.csv"
+        data.write_text(text)
+        assert run_cli(["fit", "--in", str(data)], capsys) == (
+            1, "", f"error: {data}: {message}\n")
+
     def test_malformed_csv(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("kappa_abs,mi\n0.5,fast\n")
@@ -393,6 +424,12 @@ class TestTomo:
         assert stdout == ""
         assert stderr.startswith("error: counts must be finite and non-negative")
 
+    def test_rejects_non_numeric_counts(self, tmp_path, capsys):
+        path = tmp_path / "counts.txt"
+        path.write_text(" ".join(["100"] * 15 + ["many"]) + "\n")
+        assert run_cli(["tomo", "--in", str(path)], capsys) == (
+            1, "", f"error: {path}: counts must be numeric\n")
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_rejects_non_positive_n_per_projector(self, n, tmp_path, capsys):
         path = tmp_path / "counts.txt"
@@ -407,6 +444,11 @@ class TestTomo:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", ["sweep", "mc", "show"])
+    def test_negative_seed_exits_1_with_its_location(self, command, capsys):
+        assert run_cli([command, "--seed", "-1"], capsys) == (
+            1, "", "error: command-line flag --seed: key 'seed': must be non-negative\n")
+
     def test_bad_config_key_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wat = 1\n")
@@ -422,29 +464,73 @@ class TestErrors:
         assert "error:" in stderr
 
 
-_CONFIG_FLAGS = {"--config", "--out", "--omega0", "--c-aa", "--c-bb", "--k", "--delta-n",
-                 "--s", "--n-per-input", "--trials", "--seed", "--scheme", "--noise-order",
-                 "--priors", "--t-start", "--t-stop", "--t-step", "--t-list", "--output-path"}
+# The override flags of sweep, mc and show: every config key but output_path.
+_RUN_FLAGS = {"--omega0", "--c-aa", "--c-bb", "--k", "--delta-n", "--s", "--n-per-input",
+              "--trials", "--seed", "--scheme", "--noise-order", "--priors", "--t-start",
+              "--t-stop", "--t-step", "--t-list"}
+_FIT_FLAGS = {"--c-aa", "--c-bb", "--scheme", "--noise-order", "--priors"}
 
 
 class TestParser:
+    # extra: the flags besides --config and --out.
     @pytest.mark.parametrize("command, extra, required", [
-        ("sweep", set(), []),
-        ("mc", {"--kappa-abs", "--t-a"}, []),
-        ("fit", {"--in"}, ["--in", "points.csv"]),
+        ("sweep", _RUN_FLAGS, []),
+        ("mc", _RUN_FLAGS | {"--kappa-abs", "--t-a"}, []),
+        ("fit", _FIT_FLAGS | {"--in"}, ["--in", "points.csv"]),
         ("tomo", {"--in", "--n-per-projector"}, ["--in", "counts.txt"]),
-        ("show", set(), []),
+        ("show", _RUN_FLAGS, []),
     ])
     def test_subcommand_options(self, command, extra, required, capsys):
+        flags = extra | {"--config", "--out"}
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--help"])
         assert exit_info.value.code == 0
         help_text = capsys.readouterr().out
-        assert set(re.findall(r"--[a-z0-9-]+", help_text)) == _CONFIG_FLAGS | extra | {"--help"}
+        assert set(re.findall(r"--[a-z0-9-]+", help_text)) == flags | {"--help"}
         parser = _build_parser()
-        for flag in _CONFIG_FLAGS | extra:
+        for flag in flags:
             args = parser.parse_args([command, *required, flag, "1"])
             assert args.command == command
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--in", "points.csv", "--s", "0.1"],
+        ["fit", "--in", "points.csv", "--k", "-0.5"],
+        ["tomo", "--in", "counts.txt", "--seed", "1"],
+        ["tomo", "--in", "counts.txt", "--n-per-input", "5"],
+        ["sweep", "--output-path", "x"],
+        ["sweep", "--n-per", "5"],
+        ["tomo", "--in", "counts.txt", "--n-per-proj", "5"],
+    ], ids=["fit --s", "fit --k", "tomo --seed", "tomo --n-per-input", "sweep --output-path",
+            "abbreviated --n-per-input", "abbreviated --n-per-projector"])
+    def test_a_flag_the_command_lacks_is_refused(self, argv, monkeypatch, capsys):
+        # Without allow_abbrev=False, fit --s 0.1 would set --scheme.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"{_TOP_USAGE}densecoding: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "mc", "fit", "tomo", "show"])
+    def test_a_config_file_may_hold_every_key(self, command, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        values = {**CONFIG_DEFAULTS, "t_list": "0.5, 1.0", "priors": "0.5, 0.25, 0.25",
+                  "n_per_input": "100", "trials": "5", "output_path": str(out)}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        points = tmp_path / "points.csv"
+        points.write_text("kappa_abs,mi\n0.2,0.31\n0.4,0.58\n0.6,0.87\n0.8,1.21\n")
+        counts = tmp_path / "counts.txt"
+        counts.write_text("50 0 25 25 0 50 25 25 25 25 9 41 25 25 41 9\n")
+        inputs = {"fit": ["--in", str(points)], "tomo": ["--in", str(counts)]}
+        code, stdout, stderr = run_cli([command, "--config", str(cfg),
+                                        *inputs.get(command, [])], capsys)
+        assert (code, stderr) == (0, "")
+        if command == "tomo":
+            assert stdout.startswith("concurrence = ")
+        else:
+            assert stdout == ""
+        assert out.read_text()
 
     @pytest.fixture
     def subparsers_built(self, monkeypatch):

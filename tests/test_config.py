@@ -7,6 +7,7 @@ from densecoding import (
     NoiseOrder,
     SchemeVariant,
     closed_form_mi4,
+    default_config,
     parse_config,
 )
 
@@ -29,6 +30,9 @@ class TestDefaults:
         assert cfg.time_grid[-1] == pytest.approx(2.0)
         assert len(cfg.time_grid) == 21
         assert cfg.output_path == ""
+
+    def test_default_config_is_the_empty_text(self):
+        assert default_config() == parse_config("")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nk = -0.5  # inline comment\n")
@@ -111,3 +115,22 @@ class TestErrors:
     def test_nonpositive_variance(self):
         with pytest.raises(ConfigError, match="c_aa"):
             parse_config("c_aa = 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("k = nan\n", "line 1: key 'k': value must be finite, got 'nan'"),
+        ("s = -1\n", "line 1: key 's': must be non-negative, got -1.0"),
+        ("n_per_input = 0\n", "line 1: key 'n_per_input': must be positive"),
+        ("seed = -1\n", "line 1: key 'seed': must be non-negative"),
+        ("t_start = 1\nt_stop = 0.5\n", "line 2: key 't_stop': must be >= t_start"),
+        ("scheme = FIVE_STATE\n",
+         "line 1: key 'scheme': expected THREE_STATE or FOUR_STATE, got 'FIVE_STATE'"),
+        ("noise_order = SOMETIMES\n", "line 1: key 'noise_order': expected "
+         "NOISE_BEFORE_ENCODING or NOISE_AFTER_ENCODING, got 'SOMETIMES'"),
+    ], ids=["k=nan", "s<0", "n_per_input=0", "seed<0", "t_stop<t_start", "scheme", "noise_order"])
+    def test_rejection_names_key_and_location(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    def test_seed_zero_is_accepted(self):
+        assert parse_config("seed = 0\n").seed == 0

@@ -276,6 +276,10 @@ class TestNonMarkovianity:
         with pytest.raises(ValueError):
             non_markovianity(bad, -0.5)
 
+    def test_correlation_domain(self):
+        with pytest.raises(ValueError, match=r"k must lie in \[-1, 1\], got 1.5"):
+            non_markovianity(0.5, 1.5)
+
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(-1.0, 0.0),
            st.floats(0.2, 2.0), st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.5))
     @settings(max_examples=60, deadline=None)
@@ -342,6 +346,11 @@ class TestJointSpectrumValidation:
     def test_rejects_bad_correlation(self):
         with pytest.raises(ValueError):
             JointSpectrum(k=1.5)
+
+    @pytest.mark.parametrize("field, value", [("omega0", math.inf), ("delta_n", math.nan)])
+    def test_rejects_non_finite_frequencies(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            JointSpectrum(**{field: value})
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from densecoding import (
+    BELL_OUTPUT_ORDER,
     BellLabel,
     ConditionalTable,
+    CountTable,
     DephasingTimes,
     EncodingScheme,
     JointSpectrum,
@@ -96,6 +98,18 @@ class TestSampleCounts:
         bound = 3.0 * math.sqrt(0.1875 / n)  # 3 binomial standard errors at p=0.75
         assert abs(p_hat - 0.75) < bound
 
+    def test_rejects_non_positive_n_per_input(self):
+        with pytest.raises(ValueError, match="n_per_input must be positive, got 0"):
+            sample_counts(conditional_probabilities(THREE, 0.4), 0, 1)
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.full((2, 4), 5), r"count matrix shape \(2, 4\) mismatches labels"),
+        (np.array([[5, 5, 0, 0], [4, 5, 0, 0], [0, 0, 5, 5]]), "sum to n_per_input"),
+    ], ids=["shape", "row_sum"])
+    def test_count_table_rejects_bad_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            CountTable(THREE.alphabet, BELL_OUTPUT_ORDER, counts, 10)
+
     def test_bootstrap_trial_zero_is_sample_counts(self):
         table = conditional_probabilities(THREE, 0.4)
         draws = _draw_counts(table.p_y_given_x, 1000, 30, np.random.default_rng(8))
@@ -156,6 +170,11 @@ class TestEstimateMi:
         with pytest.raises(ValueError):
             estimate_mi_with_errors(table, THREE, 100, 1, 0)
 
+    def test_rejects_table_of_another_alphabet(self):
+        table = conditional_probabilities(FOUR, 0.5)
+        with pytest.raises(ValueError, match="table inputs do not match the scheme alphabet"):
+            estimate_mi_with_errors(table, THREE, 100, 10, 0)
+
     def test_equal_trials_give_their_value_and_zero_std(self):
         # The default configuration (k = -1, THREE_STATE) is noiseless: every
         # trial draws the same count table.  A plain mean of the 1000 equal
@@ -214,6 +233,11 @@ class TestFit:
             fit_k_s([(0.0, 1.0), (0.5, 1.2)], THREE)
         with pytest.raises(ValueError):
             fit_k_s([(0.5, 1.0), (1.5, 1.2)], THREE)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_variance_ratio(self, ratio):
+        with pytest.raises(ValueError, match="variance_ratio must be positive"):
+            fit_k_s([(0.5, 1.0), (0.4, 0.9)], FOUR, variance_ratio=ratio)
 
     @pytest.mark.parametrize("bad", [(0.5, math.nan), (0.5, math.inf), (math.nan, 1.0)])
     def test_rejects_non_finite_points(self, bad):
@@ -354,6 +378,11 @@ class TestTomographyProbabilities:
             np.testing.assert_array_equal(_tomography_probabilities(rho), row)
             np.testing.assert_array_equal(_tomography_probabilities(rho[None])[0], row)
 
+    def test_design_matrix_has_the_bits_of_the_kron_products(self):
+        kets = [np.kron(experiment._KETS[a], experiment._KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
+        kron = np.array([np.kron(ket.conj(), ket) for ket in kets])
+        assert experiment._DESIGN.tobytes() == kron.tobytes()
+
 
 class TestSweepStacks:
     """The stacks run_sweep builds and no longer validates are valid states."""
@@ -430,6 +459,14 @@ class TestReconstruction:
     def test_rejects_non_positive_or_non_finite_n_per_projector(self, n):
         with pytest.raises(ValueError, match="n_per_projector must be finite and positive"):
             reconstruct_linear_inversion(np.full(16, 100.0), n)
+
+    @pytest.mark.parametrize("counts, message", [
+        (np.zeros(16), "reconstruction gives a zero state; counts unusable"),
+        (np.full(15, 100.0), r"expected 16 counts, got shape \(15,\)"),
+    ], ids=["zeros", "15_counts"])
+    def test_rejects_unusable_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            reconstruct_linear_inversion(counts, 100)
 
 
 class TestRunSweep:

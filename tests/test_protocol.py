@@ -143,6 +143,25 @@ class TestConditionalProbabilities:
         with pytest.raises(ValueError, match=r"missing cells: \(PHI_MINUS, PSI_PLUS\)"):
             ConditionalTable.from_csv(text)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["in,out,p", *lines[1:]], 'expected header "input,output,p"'),
+        (lambda lines: [*lines, "PHI_PLUS,PHI_PLUS"], "malformed row"),
+        (lambda lines: [lines[0], "PHI_PLUS,PHI_PLUS,nan", *lines[2:]],
+         "conditional probabilities must be finite"),
+    ], ids=["header", "two_fields", "nan_cell"])
+    def test_csv_rejects_bad_text(self, edit, message):
+        lines = conditional_probabilities(THREE, 0.37).to_csv().splitlines()
+        with pytest.raises(ValueError, match=message):
+            ConditionalTable.from_csv("\n".join(edit(lines)) + "\n")
+
+    def test_rejects_table_of_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(1, 4\) does not match 2 inputs x 4"):
+            ConditionalTable(THREE.alphabet[:2], BELL_OUTPUT_ORDER, np.eye(4)[:1])
+
+    def test_rejects_visibility_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\], got 1.5"):
+            conditional_probabilities(THREE, 1.5)
+
     def test_csv_repeated_cell_is_named(self):
         text = conditional_probabilities(THREE, 0.37).to_csv() + "PSI_PLUS,PSI_MINUS,0.5\n"
         with pytest.raises(ValueError, match=r"repeated cell \(PSI_PLUS, PSI_MINUS\)"):
@@ -192,6 +211,10 @@ class TestMutualInformation:
 
 
 class TestCapacities:
+    def test_pre_encoding_domain(self):
+        with pytest.raises(ValueError, match=r"kappa_abs must lie in \[0, 1\], got 1.5"):
+            capacity_pre_encoding(1.5)
+
     def test_endpoints(self):
         assert capacity_pre_encoding(1.0) == pytest.approx(2.0, abs=1e-12)
         assert capacity_pre_encoding(0.0) == pytest.approx(1.0, abs=1e-12)

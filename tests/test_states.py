@@ -313,13 +313,22 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [
         np.eye(4) / 4 + 0.1 * np.eye(4, k=1),
         np.diag([0.6, -0.1, 0.25, 0.25]),
-    ], ids=["non_hermitian", "negative"])
+        np.diag([math.nan, 0.25, 0.25, 0.25]),
+    ], ids=["non_hermitian", "negative", "nan"])
     def test_stack_with_one_bad_state_rejected(self, bad):
         stack = np.array([bell_state(label) for label in BellLabel] * 3)
         _validate_states(stack)
         stack[7] = bad
         with pytest.raises(InvariantViolation):
             _validate_states(stack)
+
+    @pytest.mark.parametrize("rho, dim, message", [
+        (np.ones((4, 3)) / 4, None, r"density matrix must be square, got shape \(4, 3\)"),
+        (np.eye(2) / 2, 4, r"expected a 4x4 matrix, got \(2, 2\)"),
+    ], ids=["non_square", "dimension"])
+    def test_rejects_malformed_matrix(self, rho, dim, message):
+        with pytest.raises(InvariantViolation, match=message):
+            validate_density_matrix(rho, dim=dim)
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
@@ -346,3 +355,8 @@ class TestSerialization:
     def test_rejects_malformed_text(self):
         with pytest.raises(ValueError):
             density_matrix_from_text("1+0j 0+0j\n0+0j 1+0j\n")
+
+    def test_rejects_malformed_entry(self):
+        text = density_matrix_to_text(bell_state(BellLabel.PHI_PLUS)).replace("0j", "zero", 1)
+        with pytest.raises(ValueError, match="malformed complex entry in density-matrix text"):
+            density_matrix_from_text(text)
