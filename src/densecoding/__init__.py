@@ -5,8 +5,10 @@ algebra, correlated Gaussian dephasing stages, Bell-measurement statistics,
 closed-form capacities and mutual information, counting-statistics error
 bars, least-squares parameter fits and linear-inversion tomography.
 
-Importing the package loads no submodule and so no numpy.  The first use
-of a public name or a submodule imports that submodule (PEP 562).
+Importing the package loads no submodule and so no numpy (PEP 562).  A
+public name, declared once in its module's ``__all__``, imports the library
+modules in dependency order up to the first that declares it, so an
+experiment name also loads config.  ``dir()`` and ``__all__`` load all five.
 """
 
 import importlib
@@ -14,51 +16,27 @@ import os
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "config": ("ConfigError", "RunConfig", "default_config", "parse_config"),
-    "environment": (
-        "DephasingTimes", "JointSpectrum", "decoherence_function", "dephasing_mask",
-        "evolve_pre_encoding", "joint_dephasing_factor", "non_markovianity",
-    ),
-    "experiment": (
-        "CountTable", "FitResult", "SweepRow", "estimate_mi_with_errors",
-        "expected_tomography_counts", "fit_k_s", "fit_result_to_csv",
-        "reconstruct_linear_inversion", "run_sweep", "sample_counts",
-        "sweep_rows_to_csv", "tomography_counts",
-    ),
-    "protocol": (
-        "BELL_OUTPUT_ORDER", "ConditionalTable", "EncodingScheme", "NoiseOrder",
-        "SECTOR_PARTNER", "SchemeVariant", "capacity_bob_noise",
-        "capacity_from_non_markovianity", "capacity_pre_encoding", "closed_form_mi",
-        "closed_form_mi3", "closed_form_mi4", "conditional_probabilities",
-        "effective_visibility", "mutual_information", "simulate_protocol",
-    ),
-    "states": (
-        "BASIS_LABELS", "BELL_FOR_PAULI", "BellLabel", "InvariantViolation",
-        "PAULI_FOR_BELL", "Party", "PauliLabel", "apply_pauli", "bell_state",
-        "binary_entropy", "concurrence", "dense_coding_capacity",
-        "density_matrix_from_text", "density_matrix_to_text", "fidelity",
-        "partial_trace", "validate_density_matrix", "von_neumann_entropy",
-    ),
-}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = sorted(_MODULE_OF)
+# Dependency order: each module imports only modules before it.
+_LIBRARY = ("states", "environment", "protocol", "config", "experiment")
 
 
 def __getattr__(name: str):
     # Not cached in the package namespace: a name always gives its
     # submodule's current binding.
-    if name in _SUBMODULES:
+    if name in _LIBRARY or name == "cli":
         return importlib.import_module(f"{__name__}.{name}")
-    if name in _MODULE_OF:
-        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    modules = (importlib.import_module(f"{__name__}.{module}") for module in _LIBRARY)
+    if name == "__all__":
+        return sorted(public for module in modules for public in module.__all__)
+    if not name.startswith("_"):
+        for module in modules:
+            if name in module.__all__:
+                return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SUBMODULES | set(__all__))
+    return sorted(set(globals()) | {*_LIBRARY, "cli"} | set(__getattr__("__all__")))
 
 
 def _use_one_blas_thread() -> None:

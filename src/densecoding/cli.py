@@ -196,7 +196,7 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
     # With one subparser built, the usage line of an error still lists all five.
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subs = parser.add_subparsers(dest="command", metavar=metavar)
     for name, (func, help_text, keys) in commands.items():
         sub = subs.add_parser(name, help=help_text, formatter_class=formatter, allow_abbrev=False)
         sub.set_defaults(func=func)
@@ -223,7 +223,10 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    parser = _build_parser(argv)
+    args = parser.parse_args(argv)
+    if args.command is None:  # checked here, not by argparse, so an unknown flag is named
+        parser.error("the following arguments are required: command")
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .environment import JointSpectrum
 from .protocol import EncodingScheme, NoiseOrder, SchemeVariant
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "default_config", "CONFIG_DEFAULTS"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "default_config"]
 
 CONFIG_DEFAULTS = {
     "omega0": "2",
@@ -149,8 +149,10 @@ def build_config(pairs: list[tuple[str, str, str]]) -> RunConfig:
             raise ConfigError(f"{where['t_step']}: key 't_step': must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"{where['t_stop']}: key 't_stop': must be >= t_start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        grid = tuple(start + i * step for i in range(count))
+        count = (stop - start) / step + 1e-9
+        if count == math.inf:
+            raise ConfigError(f"{where['t_step']}: key 't_step': {step} gives too many points")
+        grid = tuple(start + i * step for i in range(math.floor(count) + 1))
     if any(not math.isfinite(t) or t < 0 for t in grid):
         raise ConfigError("time grid values must be finite and non-negative")
 

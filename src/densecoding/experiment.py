@@ -33,7 +33,6 @@ __all__ = [
     "CountTable",
     "FitResult",
     "SweepRow",
-    "TOMOGRAPHY_SETTINGS",
     "estimate_mi_with_errors",
     "expected_tomography_counts",
     "fit_k_s",
@@ -106,6 +105,8 @@ def _draw_counts(p: np.ndarray, n_per_input: int, trials: int,
     by input, so a stack draws what its tables drawn in turn would."""
     if n_per_input <= 0:
         raise ValueError(f"n_per_input must be positive, got {n_per_input}")
+    if n_per_input >= 2**63:
+        raise ValueError(f"n_per_input must be < 2**63, got {n_per_input}")
     p = np.clip(p, 0.0, None)
     p /= p.sum(axis=-1, keepdims=True)
     return rng.multinomial(n_per_input, p[..., None, :, :],
@@ -402,8 +403,6 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     grid = np.array([float(t) for t in time_grid])
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise ValueError(f"time grid must be non-empty, finite and non-negative: {grid}")
-    if n_per_input <= 0:
-        raise ValueError(f"n_per_input must be positive, got {n_per_input}")
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
     if not s >= 0:
@@ -419,13 +418,13 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         # hypot, as Python's abs(complex) in decoherence_function; np.abs can
         # differ in the last bit.
         kappa_abs = np.hypot(kappa.real, kappa.imag)
-        # Counts n * p divided by n again, as the scalar route rounds them.
-        counts = n * _tomography_probabilities(_pre_encoding_states(spec, t))
-        conc = _concurrences(*_reconstruct(counts / n))
         tables = _checked_probabilities(_born_tables(spec, t, t, scheme, noise_order))
         theory = np.maximum(0.0, _mi_bits(priors, tables) - s)
         mean, std = _bootstrap_stats(priors, _draw_counts(tables, n_per_input, trials, rng),
                                      n_per_input)
+        # After the draw checks n: counts n * p divided by n, as the scalar route rounds them.
+        counts = n * _tomography_probabilities(_pre_encoding_states(spec, t))
+        conc = _concurrences(*_reconstruct(counts / n))
         blocks.append(np.stack([t, kappa_abs, conc, theory, np.maximum(0.0, mean - s), std],
                                axis=1))
     return np.concatenate(blocks)

@@ -449,6 +449,16 @@ class TestErrors:
         assert run_cli([command, "--seed", "-1"], capsys) == (
             1, "", "error: command-line flag --seed: key 'seed': must be non-negative\n")
 
+    def test_overflowing_time_range_exits_1(self, capsys):
+        assert run_cli(["show", "--t-stop", "1e300", "--t-step", "1e-300"], capsys) == (
+            1, "", "error: command-line flag --t-step: key 't_step': "
+                   "1e-300 gives too many points\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    def test_n_per_input_beyond_int64_exits_1(self, command, capsys):
+        assert run_cli([command, "--n-per-input", str(2**63), "--t-list", "1"], capsys) == (
+            1, "", "error: n_per_input must be < 2**63, got 9223372036854775808\n")
+
     def test_bad_config_key_exits_nonzero(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("wat = 1\n")
@@ -609,7 +619,9 @@ options:
                     "(choose from 'sweep', 'mc', 'fit', 'tomo', 'show')"),
         (["sweep", "--bogus"], "unrecognized arguments: --bogus"),
         (["tomo", "--in", "counts.txt", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
-    ], ids=["missing command", "unknown command", "unknown sweep flag", "unknown tomo flag"])
+        (["--he"], "unrecognized arguments: --he"),
+    ], ids=["missing command", "unknown command", "unknown sweep flag", "unknown tomo flag",
+            "unknown top-level flag"])
     def test_usage_errors_are_unchanged(self, argv, message, monkeypatch, capsys):
         # An unknown flag after a valid command is reported by the top-level
         # parser, so its usage line must still list every command.

@@ -122,11 +122,13 @@ class TestErrors:
         ("n_per_input = 0\n", "line 1: key 'n_per_input': must be positive"),
         ("seed = -1\n", "line 1: key 'seed': must be non-negative"),
         ("t_start = 1\nt_stop = 0.5\n", "line 2: key 't_stop': must be >= t_start"),
+        ("t_stop = 1e300\nt_step = 1e-300\n", "line 2: key 't_step': 1e-300 gives too many points"),
         ("scheme = FIVE_STATE\n",
          "line 1: key 'scheme': expected THREE_STATE or FOUR_STATE, got 'FIVE_STATE'"),
         ("noise_order = SOMETIMES\n", "line 1: key 'noise_order': expected "
          "NOISE_BEFORE_ENCODING or NOISE_AFTER_ENCODING, got 'SOMETIMES'"),
-    ], ids=["k=nan", "s<0", "n_per_input=0", "seed<0", "t_stop<t_start", "scheme", "noise_order"])
+    ], ids=["k=nan", "s<0", "n_per_input=0", "seed<0", "t_stop<t_start", "t_step_overflow",
+            "scheme", "noise_order"])
     def test_rejection_names_key_and_location(self, text, message):
         with pytest.raises(ConfigError) as info:
             parse_config(text)

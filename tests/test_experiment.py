@@ -102,6 +102,13 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="n_per_input must be positive, got 0"):
             sample_counts(conditional_probabilities(THREE, 0.4), 0, 1)
 
+    def test_rejects_n_per_input_beyond_int64(self):
+        # numpy draws at most 2**63 - 1 shots; one more would overflow its C long.
+        table = conditional_probabilities(THREE, 0.4)
+        assert sample_counts(table, 2**63 - 1, 0).counts.sum(axis=1).tolist() == [2**63 - 1] * 3
+        with pytest.raises(ValueError, match=r"must be < 2\*\*63, got 9223372036854775808$"):
+            sample_counts(table, 2**63, 0)
+
     @pytest.mark.parametrize("counts, message", [
         (np.full((2, 4), 5), r"count matrix shape \(2, 4\) mismatches labels"),
         (np.array([[5, 5, 0, 0], [4, 5, 0, 0], [0, 0, 5, 5]]), "sum to n_per_input"),

@@ -1,6 +1,6 @@
-"""The lazy package namespace, the command line's BLAS thread default and
-import-heap freeze, the bytes of the process route and the demos, each
-checked in fresh interpreters where import order matters."""
+"""The lazy package namespace and its lookup order, the command line's BLAS
+thread default and import-heap freeze, the bytes of the process route and
+the demos, each checked in fresh interpreters where import order matters."""
 
 import importlib
 import json
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(densecoding.__file__).resolve().parents[1]
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SUBMODULES = ("cli", "config", "environment", "experiment", "protocol", "states")
+LOOKUP_ORDER = ("states", "environment", "protocol", "config", "experiment")
 
 PUBLIC_NAMES = [
     "BASIS_LABELS", "BELL_FOR_PAULI", "BELL_OUTPUT_ORDER", "BellLabel",
@@ -93,6 +94,37 @@ class TestLazyPackage:
                          f"assert densecoding.cli.main(['fit', '--in', {str(points)!r}]) == 0\n"
                          "print('numpy.ma' in sys.modules)")
         assert out.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("name, loaded", [
+        ("concurrence", ["states"]),
+        ("JointSpectrum", ["states", "environment"]),
+        ("closed_form_mi", ["states", "environment", "protocol"]),
+        ("parse_config", ["states", "environment", "protocol", "config"]),
+        # Found after config in the lookup order, which experiment does not import.
+        ("fit_k_s", ["states", "environment", "protocol", "config", "experiment"]),
+    ])
+    def test_a_name_loads_the_modules_up_to_its_own(self, name, loaded):
+        out = run_python("-c", f"import sys, densecoding; densecoding.{name}\n"
+                         "print(*sorted(m for m in sys.modules if m.startswith('densecoding.')))")
+        assert out.split() == sorted(f"densecoding.{m}" for m in loaded)
+
+    @pytest.mark.parametrize("index", range(len(LOOKUP_ORDER)),
+                             ids=lambda index: LOOKUP_ORDER[index])
+    def test_each_module_imports_only_modules_before_it(self, index):
+        # The lookup relies on this: it never loads a later module to find a name.
+        out = run_python("-c", f"import sys, densecoding.{LOOKUP_ORDER[index]}\n"
+                         "print(*sorted(m for m in sys.modules if m.startswith('densecoding.')))")
+        loaded = {m.removeprefix("densecoding.") for m in out.split()}
+        assert loaded - {LOOKUP_ORDER[index]} <= set(LOOKUP_ORDER[:index])
+
+    def test_private_name_raises_before_any_import(self):
+        out = run_python("-c", "import sys, densecoding\n"
+                         "try:\n    densecoding._no_such\n"
+                         "except AttributeError as exc:\n    print(exc)\n"
+                         "print(sorted(m for m in sys.modules "
+                         "if m.split('.')[0] in ('numpy', 'densecoding')))")
+        assert out.splitlines() == ["module 'densecoding' has no attribute '_no_such'",
+                                    "['densecoding']"]
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
