@@ -9,10 +9,10 @@ as ``t_start``/``t_stop``/``t_step`` or as an explicit comma list
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .environment import JointSpectrum
 from .protocol import EncodingScheme, NoiseOrder, SchemeVariant
+from .states import _frozen_record
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "default_config"]
 
@@ -44,7 +44,7 @@ class ConfigError(ValueError):
     """Configuration problem, reported with the offending key and location."""
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class RunConfig:
     """Fully resolved, validated run parameters."""
 

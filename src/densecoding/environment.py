@@ -10,11 +10,10 @@ function, which is what makes the closed forms exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BellLabel, bell_state
+from .states import BellLabel, _frozen_record, bell_state
 
 __all__ = [
     "DephasingTimes",
@@ -27,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class JointSpectrum:
     """Second moments of the joint two-photon frequency distribution.
 
@@ -55,7 +54,7 @@ class JointSpectrum:
             raise ValueError(f"delta_n must be finite, got {self.delta_n}")
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class DephasingTimes:
     """Durations of the two local noise stages."""
 

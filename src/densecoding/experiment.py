@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .protocol import (
     _mi_bits,
     _mi_curve,
 )
-from .states import BellLabel, _concurrences, validate_density_matrix
+from .states import BellLabel, _concurrences, _frozen_record, validate_density_matrix
 
 __all__ = [
     "CountTable",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class CountTable:
     """Multinomial outcome counts, one row of four Bell outcomes per input."""
 
@@ -64,7 +63,7 @@ class CountTable:
         object.__setattr__(self, "counts", c)
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class SweepRow:
     """One noise setting of a mutual-information-vs-concurrence sweep."""
 
@@ -77,7 +76,7 @@ class SweepRow:
     scheme: SchemeVariant
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class FitResult:
     """Least-squares estimate of the correlation coefficient and offset."""
 

@@ -18,12 +18,11 @@ import enum
 import io
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .environment import DephasingTimes, JointSpectrum, _dephasing_masks
-from .states import BellLabel, _xlogy, bell_state, binary_entropy
+from .states import BellLabel, _frozen_record, _xlogy, bell_state, binary_entropy
 
 __all__ = [
     "BELL_OUTPUT_ORDER",
@@ -80,7 +79,7 @@ _ALPHABETS = {
 }
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class EncodingScheme:
     """Alphabet of encoded Bell states with a prior distribution."""
 
@@ -111,7 +110,7 @@ class EncodingScheme:
         return cls(SchemeVariant.FOUR_STATE, priors)
 
 
-@dataclass(frozen=True)
+@_frozen_record
 class ConditionalTable:
     """Outcome distribution p(y|x) over Bell measurement results."""
 

@@ -7,6 +7,7 @@ Density matrices are plain complex ndarrays in the fixed product basis
 from __future__ import annotations
 
 import enum
+import inspect
 
 import numpy as np
 
@@ -42,6 +43,93 @@ _EIGENVALUE_FLOOR = -1e-10
 
 class InvariantViolation(ValueError):
     """Raised when a matrix fails the density-matrix checks."""
+
+
+def _frozen_record(cls: type) -> type:
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    It gets the shared, already compiled methods below rather than ones
+    written and compiled per class at import: ``__init__`` binds arguments
+    to the fields in order, class-level values being defaults, then calls
+    the class's ``__post_init__`` if it has one; equality, hashing and repr
+    work over the field values; assignment and deletion raise
+    ``AttributeError``.
+    """
+    annotations = vars(cls)["__annotations__"]
+    cls.__match_args__ = tuple(annotations)
+    cls._field_defaults = {name: vars(cls)[name] for name in annotations if name in vars(cls)}
+    cls.__signature__ = inspect.Signature([
+        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=annotation,
+                          default=cls._field_defaults.get(name, inspect.Parameter.empty))
+        for name, annotation in annotations.items()], return_annotation=None)
+    cls.__init__ = _record_init
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+def _record_init(self, *args, **kwargs) -> None:
+    cls = type(self)
+    fields = cls.__match_args__
+    if kwargs or len(args) != len(fields):
+        args = _bound_arguments(cls, args, kwargs)
+    vars(self).update(zip(fields, args))
+    post_init = getattr(cls, "__post_init__", None)
+    if post_init is not None:
+        post_init(self)
+
+
+def _bound_arguments(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The field values of a call, defaults filled in, with Python's own
+    checks and messages for a function of the fields."""
+    fields, defaults = cls.__match_args__, cls._field_defaults
+    where = f"{cls.__qualname__}.__init__()"
+    given = dict(zip(fields, args))
+    for name, value in kwargs.items():
+        if name not in fields:
+            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+        if name in given:
+            raise TypeError(f"{where} got multiple values for argument {name!r}")
+        given[name] = value
+    if len(args) > len(fields):
+        takes = (f"from {len(fields) - len(defaults) + 1} to " if defaults else "") + str(len(fields) + 1)
+        raise TypeError(f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
+    missing = [repr(name) for name in fields if name not in given and name not in defaults]
+    if missing:
+        names = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
+        plural = "s" if len(missing) > 1 else ""
+        raise TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {names}")
+    return tuple(given[name] if name in given else defaults[name] for name in fields)
+
+
+def _record_values(self) -> tuple:
+    return tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _record_setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Party(enum.Enum):

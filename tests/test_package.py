@@ -95,6 +95,15 @@ class TestLazyPackage:
                          "print('numpy.ma' in sys.modules)")
         assert out.splitlines()[-1] == "False"
 
+    @pytest.mark.parametrize("route", ["import", "python -m", "script"])
+    def test_cli_loads_no_dataclasses(self, route):
+        # The records are built without dataclasses' per-class code generation.
+        out = run_python("-c", "import atexit, sys\n"
+                         "atexit.register(lambda: print('dataclasses' in sys.modules))\n"
+                         "sys.argv = ['densecoding', 'show']\n"
+                         + ROUTES.get(route, "import densecoding.cli"))
+        assert out.splitlines()[-1] == "False"
+
     @pytest.mark.parametrize("name, loaded", [
         ("concurrence", ["states"]),
         ("JointSpectrum", ["states", "environment"]),
