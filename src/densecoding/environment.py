@@ -75,8 +75,12 @@ def _characteristic_function(spec: JointSpectrum, u, v, include_phase: bool = Tr
     mean-phase factor exp(i (u+v) omega0 / 2) is dropped when
     ``include_phase`` is false (phase-compensated convention).
     """
-    quad = (spec.c_aa * u * u + spec.c_bb * v * v
-            + 2.0 * spec.k * math.sqrt(spec.c_aa * spec.c_bb) * u * v)
+    # c_aa u^2 + c_bb v^2 + 2 k sqrt(c_aa c_bb) u v as a sum of two
+    # non-negative terms: an overflow reads +inf (coherence 0), never
+    # inf - inf, and k = -1 with c_aa = c_bb and u = v gives exactly 0.
+    with np.errstate(over="ignore"):
+        cross = math.sqrt(spec.c_aa) * u + spec.k * math.sqrt(spec.c_bb) * v
+        quad = cross * cross + ((1.0 - spec.k * spec.k) * spec.c_bb) * v * v
     phase = (u + v) * spec.omega0 / 2.0 if include_phase else 0.0
     return np.exp(-quad / 2.0 + 1j * phase)
 

@@ -2,9 +2,7 @@
 
 import argparse
 import math
-import os
 import re
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -34,7 +32,6 @@ from densecoding.cli import _build_parser, main
 from densecoding.config import CONFIG_DEFAULTS
 
 
-SRC = Path(densecoding.__file__).resolve().parents[1]
 
 
 def run_cli(args, capsys):
@@ -129,18 +126,24 @@ class TestShow:
         assert "n_per_input = 10000" in stdout
 
     @pytest.mark.parametrize("command", ["show", "sweep"])
-    def test_overflowing_time_exits_1(self, command):
-        # At t = 1e300 the dephasing exponent overflows to NaN.  Run out of
-        # process: pytest turns the overflow warnings into exceptions.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "densecoding.cli", command, "--t-list", "0, 1e300",
-             "--trials", "2", "--n-per-input", "10"],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.endswith("\nerror: conditional probabilities must be finite\n")
-        assert proc.stderr.count("error:") == 1
+    @pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
+    def test_overflowing_time_reads_its_limit(self, command, c, capsys):
+        # At t = 1e300 the terms of the dephasing exponent overflow.  With
+        # k = -1 and equal variances the exponent is exactly 0 on the
+        # encoded sector, so the MI is log2 3, with no warning (which
+        # pytest would raise as an error).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run_cli(
+                [command, "--t-list", "0, 1e300", "--k=-1", f"--c-aa={c}", f"--c-bb={c}",
+                 "--trials", "2", "--n-per-input", "10"], capsys)
+        assert (code, stderr) == (0, "")
+        if command == "show":
+            values = dict(line.split(" = ", 1) for line in stdout.splitlines())
+            kappa, mi = values["kappa_abs_last"], values["mi_theory_last"]
+        else:
+            _, kappa, _, mi, *_ = stdout.splitlines()[-1].split(",")
+        assert (float(kappa), float(mi)) == (0.0, math.log2(3))
 
 
 class TestMc:

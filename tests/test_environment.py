@@ -30,6 +30,7 @@ from densecoding import (
     non_markovianity,
     validate_density_matrix,
 )
+from densecoding.environment import _characteristic_function
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
 
@@ -115,6 +116,26 @@ class TestJointDephasingFactor:
     def test_magnitude_never_exceeds_one(self, t_a, t_b, k):
         spec = JointSpectrum(c_aa=1.0, c_bb=1.4, k=k)
         assert abs(joint_dephasing_factor(spec, DephasingTimes(t_a, t_b))) <= 1.0 + 1e-12
+
+    @given(st.floats(0.05, 20.0), st.floats(0.05, 20.0), st.floats(-1.0, 1.0),
+           st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+    @settings(max_examples=300, deadline=None)
+    def test_exponent_agrees_with_the_term_by_term_form(self, c_aa, c_bb, k, u, v):
+        spec = JointSpectrum(c_aa=c_aa, c_bb=c_bb, k=k)
+        cf = _characteristic_function(spec, u, v, include_phase=False)
+        terms = (c_aa * u * u, c_bb * v * v, 2.0 * k * math.sqrt(c_aa * c_bb) * u * v)
+        term_by_term = math.exp(-sum(terms) / 2.0)
+        # A few ulp of the largest term in the exponent, and of exp itself.
+        ulps = 4.0 * (1.0 + sum(map(abs, terms))) * np.finfo(float).eps
+        assert cf.imag == 0.0
+        assert abs(cf.real - term_by_term) <= ulps * max(cf.real, term_by_term)
+
+    @pytest.mark.parametrize("c", [0.7, 1.0, 1.3])
+    def test_overflowing_exponent_reads_its_limit(self, c):
+        times = DephasingTimes(1e300, 1e300)
+        assert abs(joint_dephasing_factor(JointSpectrum(c_aa=c, c_bb=c, k=-1.0), times)) == 1.0
+        assert joint_dephasing_factor(JointSpectrum(c_aa=c, c_bb=c, k=-0.5), times) == 0.0
+        assert abs(joint_dephasing_factor(JointSpectrum(c_aa=c, k=-1.0), times)) == (c == 1.0)
 
     def test_degradation_monotone_unless_perfectly_anticorrelated(self):
         grid = np.linspace(0.0, 2.5, 26)
