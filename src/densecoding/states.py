@@ -94,14 +94,16 @@ def _bound_arguments(cls: type, args: tuple, kwargs: dict) -> tuple:
         if name in given:
             raise TypeError(f"{where} got multiple values for argument {name!r}")
         given[name] = value
-    if len(args) > len(fields):
-        takes = (f"from {len(fields) - len(defaults) + 1} to " if defaults else "") + str(len(fields) + 1)
-        raise TypeError(f"{where} takes {takes} positional arguments but {len(args) + 1} were given")
+    if len(args) > len(fields):  # counts include self, as Python's do
+        low = f"from {len(fields) - len(defaults) + 1} to " if defaults else ""
+        raise TypeError(f"{where} takes {low}{len(fields) + 1} positional arguments "
+                        f"but {len(args) + 1} were given")
     missing = [repr(name) for name in fields if name not in given and name not in defaults]
     if missing:
-        names = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
-        plural = "s" if len(missing) > 1 else ""
-        raise TypeError(f"{where} missing {len(missing)} required positional argument{plural}: {names}")
+        names = (" and ".join(missing) if len(missing) < 3
+                 else ", ".join(missing[:-1]) + ", and " + missing[-1])
+        raise TypeError(f"{where} missing {len(missing)} required positional "
+                        f"argument{'s' if len(missing) > 1 else ''}: {names}")
     return tuple(given[name] if name in given else defaults[name] for name in fields)
 
 

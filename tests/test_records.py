@@ -17,8 +17,10 @@ PHI_P, PHI_M, PSI_P = BellLabel.PHI_PLUS, BellLabel.PHI_MINUS, BellLabel.PSI_PLU
 BELL_REPR = {PHI_P: "<BellLabel.PHI_PLUS: 'PHI_PLUS'>",
              PHI_M: "<BellLabel.PHI_MINUS: 'PHI_MINUS'>",
              PSI_P: "<BellLabel.PSI_PLUS: 'PSI_PLUS'>"}
-LABELS = f"inputs=({BELL_REPR[PHI_P]}, {BELL_REPR[PSI_P]}), outputs=({BELL_REPR[PHI_P]}, {BELL_REPR[PHI_M]})"
-FOUR = "EncodingScheme(variant=<SchemeVariant.FOUR_STATE: 'FOUR_STATE'>, priors=(0.25, 0.25, 0.25, 0.25))"
+LABELS = (f"inputs=({BELL_REPR[PHI_P]}, {BELL_REPR[PSI_P]}), "
+          f"outputs=({BELL_REPR[PHI_P]}, {BELL_REPR[PHI_M]})")
+FOUR = ("EncodingScheme(variant=<SchemeVariant.FOUR_STATE: 'FOUR_STATE'>, "
+        "priors=(0.25, 0.25, 0.25, 0.25))")
 
 # Per record: its arguments, arguments that differ in one field, and the
 # repr and signature it had as a frozen dataclass.
@@ -92,7 +94,12 @@ def test_repr_and_signature(cls):
 @each_record
 def test_keywords_bind_as_positions_do(cls):
     args = RECORDS[cls][0]
-    assert repr(cls(**dict(zip(fields(cls), args)))) == repr(cls(*args))
+    record = cls(**dict(zip(fields(cls), args)))
+    assert repr(record) == repr(cls(*args))
+    # The instance holds the fields alone, in order: cls(**{**vars(r), f: x})
+    # gives a copy of r with field f replaced.
+    assert tuple(vars(record)) == fields(cls)
+    assert repr(cls(**vars(record))) == repr(record)
 
 
 @each_record
@@ -135,8 +142,8 @@ def test_argument_errors(cls):
         cls(*args, bogus=1)
     with pytest.raises(TypeError, match=where + f"got multiple values for argument '{names[0]}'$"):
         cls(*args, **{names[0]: args[0]})
-    with pytest.raises(TypeError, match=where + rf"takes (from \d to )?{len(names) + 1} "
-                                                rf"positional arguments but {len(names) + 2} were given$"):
+    too_many = rf"takes (from \d to )?{len(names) + 1} positional arguments but {len(names) + 2}"
+    with pytest.raises(TypeError, match=where + too_many + " were given$"):
         cls(*args, None)
 
 
@@ -148,7 +155,8 @@ def test_argument_errors(cls):
     (lambda: SweepRow(1.0, 2.0), "missing 5 required positional arguments: 'concurrence', "
                                  "'mi_theory', 'mi_mc_mean', 'mi_mc_std', and 'scheme'"),
     (lambda: EncodingScheme(), "missing 1 required positional argument: 'variant'"),
-    (lambda: JointSpectrum(1, 2, 3, 4, 5, 6), "takes from 1 to 6 positional arguments but 7 were given"),
+    (lambda: JointSpectrum(1, 2, 3, 4, 5, 6),
+     "takes from 1 to 6 positional arguments but 7 were given"),
     (lambda: EncodingScheme(SchemeVariant.THREE_STATE, (), 3),
      "takes from 2 to 3 positional arguments but 4 were given"),
     (lambda: DephasingTimes(1.0, 2.0, 3.0), "takes 3 positional arguments but 4 were given"),
