@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .environment import JointSpectrum, _characteristic_function, _pre_encoding_states
+from .environment import JointSpectrum, _characteristic_function
 from .protocol import (
     ConditionalTable,
     EncodingScheme,
@@ -26,7 +26,7 @@ from .protocol import (
     _mi_bits,
     _mi_curve,
 )
-from .states import BellLabel, _concurrences, _frozen_record, validate_density_matrix
+from .states import BellLabel, _frozen_record, validate_density_matrix
 
 __all__ = [
     "CountTable",
@@ -65,7 +65,8 @@ class CountTable:
 
 @_frozen_record
 class SweepRow:
-    """One noise setting of a mutual-information-vs-concurrence sweep."""
+    """One noise setting of a mutual-information-vs-concurrence sweep; the
+    sender-stage state's concurrence is exactly |kappa_A(t)| = ``kappa_abs``."""
 
     t_a: float
     kappa_abs: float
@@ -376,20 +377,21 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
               ) -> list[SweepRow]:
     """One row per noise duration: the mutual-information-vs-concurrence dataset.
 
-    For every t the row records |kappa|, the concurrence recovered through
-    the exact tomography pipeline (equal to |kappa| for this state family),
+    For every t the row records |kappa_A(t)|, the Wootters concurrence of the
+    shared state after the sender-side stage (|Phi+> with coherence kappa_A
+    is an X state of concurrence exactly |kappa_A|, so it repeats kappa_abs),
     the Born-rule mutual information of the simulated channel minus s, and
     the parametric-bootstrap mean and standard deviation.  The offset s is
     subtracted from the bootstrap mean so the column models the measured
     mutual information the theory column is fitted to.
 
-    Row i's first four columns equal the scalar route at its t (the
-    tomography round trip, ``simulate_protocol``, ``mutual_information``).
+    Row i's ``kappa_abs`` and ``mi_theory`` equal the scalar route at its t
+    (``decoherence_function``, ``simulate_protocol``, ``mutual_information``).
     One generator, ``default_rng(seed)``, draws ``trials`` count tables for
     each row in turn, a block of rows per multinomial call: a prefix of the
     grid gives a prefix of the rows, but a sweep of ``grid[5:]`` is not rows
     5.. of the sweep of ``grid``.  The arguments and the Born tables are
-    checked; the density-matrix stacks built here are states by construction.
+    checked.
     """
     values = _sweep_values(spec, time_grid, scheme, n_per_input, trials, seed, s, noise_order)
     return [SweepRow(*row, scheme.variant) for row in values.tolist()]
@@ -407,7 +409,6 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     if not s >= 0:
         raise ValueError(f"s must be non-negative, got {s}")
     priors = np.asarray(scheme.priors)
-    n = float(n_per_input)
     rng = np.random.default_rng(seed)
     block = max(1, _TABLES_PER_BLOCK // trials)
     blocks = []
@@ -421,11 +422,8 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         theory = np.maximum(0.0, _mi_bits(priors, tables) - s)
         mean, std = _bootstrap_stats(priors, _draw_counts(tables, n_per_input, trials, rng),
                                      n_per_input)
-        # After the draw checks n: counts n * p divided by n, as the scalar route rounds them.
-        counts = n * _tomography_probabilities(_pre_encoding_states(spec, t))
-        conc = _concurrences(*_reconstruct(counts / n))
-        blocks.append(np.stack([t, kappa_abs, conc, theory, np.maximum(0.0, mean - s), std],
-                               axis=1))
+        blocks.append(np.stack([t, kappa_abs, kappa_abs, theory, np.maximum(0.0, mean - s),
+                                std], axis=1))
     return np.concatenate(blocks)
 
 

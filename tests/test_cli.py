@@ -95,6 +95,21 @@ class TestSweep:
                          c.seed, c.s, c.noise_order)
         assert stdout == sweep_rows_to_csv(rows)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("", id="default"),
+        pytest.param((DEMO_CONFIGS / "three_state.cfg").read_text(), id="three_state.cfg"),
+        pytest.param(DENSE_SWEEP + "c_bb = 2\nnoise_order = NOISE_AFTER_ENCODING\n",
+                     id="dense_c_bb=2_after_encoding"),
+    ])
+    def test_concurrence_field_is_the_kappa_abs_field(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, stdout, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in stdout.splitlines()[1:]]
+        assert len(rows) == len(parse_config(text).time_grid)
+        assert [row[2] for row in rows] == [row[1] for row in rows]
+
     def test_override_flags_mirror_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_SWEEP)

@@ -392,7 +392,7 @@ class TestTomographyProbabilities:
 
 
 class TestSweepStacks:
-    """The stacks run_sweep builds and no longer validates are valid states."""
+    """The stacked helpers behind the scalar routes build valid states."""
 
     @given(st.floats(0.2, 2.5), st.floats(0.2, 2.5), st.floats(-1.0, 1.0),
            st.floats(-2.0, 2.0), st.floats(-3.0, 5.0),
@@ -407,21 +407,22 @@ class TestSweepStacks:
 
 
 class TestSweepFactorisations:
-    """Each sweep state is factored once: the eigh of the tomography
-    reconstruction also gives the concurrence, through one svd per block."""
+    """The sweep's concurrence column is |kappa|, written without a tomography
+    round trip: no state of the sweep is factored."""
 
     @pytest.mark.parametrize("rows", [1, 128, 300])
-    def test_one_eigh_and_one_svd_per_block(self, rows, monkeypatch):
+    def test_no_eigh_and_no_svd(self, rows, monkeypatch):
         calls = {"eigh": 0, "svd": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        experiment._sweep_values(JointSpectrum(k=-0.5, c_bb=2.0), np.linspace(0.0, 2.0, rows),
-                                 FOUR, 100, 2, 0, 0.0, NoiseOrder.NOISE_AFTER_ENCODING)
-        blocks = math.ceil(rows / (experiment._TABLES_PER_BLOCK // 2))
-        assert calls == {"eigh": blocks, "svd": blocks}
+        values = experiment._sweep_values(JointSpectrum(k=-0.5, c_bb=2.0),
+                                          np.linspace(0.0, 2.0, rows), FOUR, 100, 2, 0, 0.0,
+                                          NoiseOrder.NOISE_AFTER_ENCODING)
+        assert values.shape == (rows, 6)
+        assert calls == {"eigh": 0, "svd": 0}
 
 
 class TestReconstruction:
@@ -498,7 +499,7 @@ class TestRunSweep:
         spec = JointSpectrum(k=-0.5)
         rows = run_sweep(spec, np.linspace(0.0, 1.8, 7), FOUR, 1000, 10, 0)
         for row in rows:
-            assert row.concurrence == pytest.approx(row.kappa_abs, abs=1e-10)
+            assert row.concurrence == row.kappa_abs
 
     def test_mc_mean_tracks_exact_mi(self):
         spec = JointSpectrum(k=-0.5)
@@ -591,6 +592,7 @@ class TestBatchedSweep:
             conc = concurrence(reconstruct_linear_inversion(counts, float(n)))
             assert row.t_a == t
             assert row.kappa_abs == pytest.approx(abs(decoherence_function(spec, t)), abs=1e-12)
+            assert row.concurrence == row.kappa_abs
             assert row.concurrence == pytest.approx(conc, abs=1e-12)
             assert row.mi_theory == pytest.approx(mutual_information(scheme, table, s),
                                                   abs=1e-12)
