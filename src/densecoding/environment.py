@@ -68,21 +68,29 @@ class DephasingTimes:
             raise ValueError(f"t_b must be finite and non-negative, got {self.t_b}")
 
 
-def _characteristic_function(spec: JointSpectrum, u, v, include_phase: bool = True):
-    """E[exp(i(u wA + v wB))] for the jointly Gaussian frequencies.
+def _characteristic_function(spec: JointSpectrum, a, b, include_phase: bool = True):
+    """E[exp(i dn (a wA + b wB))] for the jointly Gaussian frequencies.
 
-    ``u`` and ``v`` are scalars or arrays of one shape.  The deterministic
-    mean-phase factor exp(i (u+v) omega0 / 2) is dropped when
-    ``include_phase`` is false (phase-compensated convention).
+    ``a`` and ``b`` are finite scalars or arrays of one shape.  The
+    deterministic mean-phase factor exp(i dn (a+b) omega0 / 2) is dropped when
+    ``include_phase`` is false (phase-compensated convention).  An overflow
+    reads its limit, 0 or a coherence of modulus 1; the phase of the latter
+    has none if it overflows, and reads NaN.
     """
-    # c_aa u^2 + c_bb v^2 + 2 k sqrt(c_aa c_bb) u v as a sum of two
-    # non-negative terms: an overflow reads +inf (coherence 0), never
-    # inf - inf, and k = -1 with c_aa = c_bb and u = v gives exactly 0.
-    with np.errstate(over="ignore"):
+    def exponent(u, v):
+        # c_aa u^2 + c_bb v^2 + 2 k sqrt(c_aa c_bb) u v as a sum of two
+        # non-negative terms: k = -1 with c_aa = c_bb and u = v gives exactly 0.
         cross = math.sqrt(spec.c_aa) * u + spec.k * math.sqrt(spec.c_bb) * v
-        quad = cross * cross + ((1.0 - spec.k * spec.k) * spec.c_bb) * v * v
-    phase = (u + v) * spec.omega0 / 2.0 if include_phase else 0.0
-    return np.exp(-quad / 2.0 + 1j * phase)
+        return cross * cross + ((1.0 - spec.k * spec.k) * spec.c_bb) * v * v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = spec.delta_n * a, spec.delta_n * b
+        # NaN only where dn a or dn b overflowed (inf - inf, 0 * inf): dn^2 Q(a, b).
+        quad = exponent(u, v)
+        quad = np.where(np.isnan(quad), np.where(exponent(a, b) > 0.0, np.inf, 0.0), quad)
+        z = np.asarray(-quad / 2.0, dtype=complex)  # 1j * inf would have a NaN real part
+        z.imag = (u + v) * spec.omega0 / 2.0 if include_phase else 0.0
+        return np.exp(z)
 
 
 def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:
@@ -91,7 +99,7 @@ def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:
     Closed Gaussian form exp(i t_a dn omega0 / 2) * exp(-c_aa dn^2 t_a^2 / 2);
     the modulus decays monotonically from 1.
     """
-    return complex(_characteristic_function(spec, spec.delta_n * DephasingTimes(t_a, 0.0).t_a, 0.0))
+    return complex(_characteristic_function(spec, DephasingTimes(t_a, 0.0).t_a, 0.0))
 
 
 def joint_dephasing_factor(spec: JointSpectrum, times: DephasingTimes) -> complex:
@@ -100,8 +108,7 @@ def joint_dephasing_factor(spec: JointSpectrum, times: DephasingTimes) -> comple
     With equal times, equal variances and k = -1 the modulus is exactly 1:
     the receiver-side stage rebuilds the coherence the sender-side stage lost.
     """
-    return complex(_characteristic_function(
-        spec, spec.delta_n * times.t_a, spec.delta_n * times.t_b))
+    return complex(_characteristic_function(spec, times.t_a, times.t_b))
 
 
 # Whether each photon is H (1) or V (0) in the basis (HH, HV, VH, VV); entry
@@ -131,10 +138,11 @@ def dephasing_mask(spec: JointSpectrum, times: DephasingTimes,
 def _dephasing_masks(spec: JointSpectrum, t_a, t_b, flip_sender: bool = False,
                      include_phase: bool = False) -> np.ndarray:
     """:func:`dephasing_mask` for broadcastable arrays of checked durations: (..., 4, 4)."""
+    # The 0/+-1 products come before the scale dn, so a zero stays 0 if dn t overflows.
     sign = -1.0 if flip_sender else 1.0
-    u = (sign * spec.delta_n * np.asarray(t_a))[..., None, None] * _SENDER_DIFF
-    v = (spec.delta_n * np.asarray(t_b))[..., None, None] * _RECEIVER_DIFF
-    return _characteristic_function(spec, u, v, include_phase)
+    a = (sign * np.asarray(t_a))[..., None, None] * _SENDER_DIFF
+    b = np.asarray(t_b)[..., None, None] * _RECEIVER_DIFF
+    return _characteristic_function(spec, a, b, include_phase)
 
 
 def evolve_pre_encoding(spec: JointSpectrum, t_a: float) -> np.ndarray:

@@ -390,8 +390,7 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     One generator, ``default_rng(seed)``, draws ``trials`` count tables for
     each row in turn, a block of rows per multinomial call: a prefix of the
     grid gives a prefix of the rows, but a sweep of ``grid[5:]`` is not rows
-    5.. of the sweep of ``grid``.  The arguments and the Born tables are
-    checked.
+    5.. of the sweep of ``grid``.  The arguments and Born tables are checked.
     """
     values = _sweep_values(spec, time_grid, scheme, n_per_input, trials, seed, s, noise_order)
     return [SweepRow(*row, scheme.variant) for row in values.tolist()]
@@ -414,7 +413,7 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     blocks = []
     for start in range(0, grid.size, block):
         t = grid[start:start + block]
-        kappa = _characteristic_function(spec, spec.delta_n * t, 0.0)
+        kappa = _characteristic_function(spec, t, 0.0)
         # hypot, as Python's abs(complex) in decoherence_function; np.abs can
         # differ in the last bit.
         kappa_abs = np.hypot(kappa.real, kappa.imag)

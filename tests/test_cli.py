@@ -161,6 +161,22 @@ class TestShow:
         assert (float(kappa), float(mi)) == (0.0, math.log2(3))
 
 
+    @pytest.mark.parametrize("k", ["-0.5", "-1"])
+    def test_overflowing_scale_reads_its_limit(self, k, capsys):
+        # At delta_n = 1e10 the product delta_n * t itself overflows; the
+        # values read the same limit as at delta_n = 1, with no warning.
+        shown = []
+        for delta_n in ("1", "1e10"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, stdout, stderr = run_cli(["show", "--t-list", "0, 1e300",
+                                                "--delta-n", delta_n, f"--k={k}"], capsys)
+            assert (code, stderr) == (0, "")
+            values = dict(line.split(" = ", 1) for line in stdout.splitlines())
+            shown.append((values["kappa_abs_last"], values["mi_theory_last"]))
+        assert shown[1] == shown[0]
+
+
 class TestMc:
     def test_single_point_output(self, capsys):
         code, stdout, stderr = run_cli(

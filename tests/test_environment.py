@@ -6,6 +6,7 @@ frequency density.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from densecoding import (
     bell_state,
     capacity_bob_noise,
     capacity_from_non_markovianity,
+    concurrence,
     decoherence_function,
     dephasing_mask,
     evolve_pre_encoding,
@@ -137,6 +139,20 @@ class TestJointDephasingFactor:
         assert joint_dephasing_factor(JointSpectrum(c_aa=c, c_bb=c, k=-0.5), times) == 0.0
         assert abs(joint_dephasing_factor(JointSpectrum(c_aa=c, k=-1.0), times)) == (c == 1.0)
 
+    @pytest.mark.parametrize("k", [-1.0, -0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("flip_sender", [False, True])
+    def test_overflowing_scale_reads_its_limit(self, k, flip_sender):
+        # delta_n * t overflows at delta_n = 1e10 but not at delta_n = 1.
+        times = DephasingTimes(1e300, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            masks = [dephasing_mask(JointSpectrum(k=k, delta_n=dn), times, flip_sender)
+                     for dn in (1.0, 1e10)]
+            for omega0 in (0.0, 2.0):
+                spec = JointSpectrum(omega0=omega0, k=k, delta_n=1e10)
+                assert decoherence_function(spec, 1e300) == 0.0
+        np.testing.assert_array_equal(masks[1], masks[0])
+
     def test_degradation_monotone_unless_perfectly_anticorrelated(self):
         grid = np.linspace(0.0, 2.5, 26)
         for k in (-0.99, -0.5, 0.0, 0.7):
@@ -168,6 +184,15 @@ class TestEvolvePreEncoding:
     def test_always_valid(self):
         for t in (0.0, 0.3, 1.0, 4.0):
             validate_density_matrix(evolve_pre_encoding(JointSpectrum(k=0.2), t), dim=4)
+
+    @given(st.floats(-3.0, 5.0), st.floats(0.2, 2.5), st.floats(0.2, 2.5),
+           st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(0.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_concurrence_is_the_coherence_modulus(self, omega0, c_aa, c_bb, k, delta_n, t):
+        # Wootters' concurrence of |Phi+> with coherence kappa is |kappa|.
+        spec = JointSpectrum(omega0=omega0, c_aa=c_aa, c_bb=c_bb, k=k, delta_n=delta_n)
+        assert concurrence(evolve_pre_encoding(spec, t)) == pytest.approx(
+            abs(decoherence_function(spec, t)), abs=1e-12)
 
 
 # The mask acts on an encoded Bell state; with the noise before the encoding
