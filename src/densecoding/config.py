@@ -36,6 +36,9 @@ CONFIG_DEFAULTS = {
     "output_path": "",
 }
 
+# Most points a t_start/t_stop/t_step range may give (the grid alone holds ~0.3 GB).
+_MAX_TIME_POINTS = 10**7
+
 _FLOAT_KEYS = {"omega0", "c_aa", "c_bb", "k", "delta_n", "s", "t_start", "t_stop", "t_step"}
 _INT_KEYS = {"n_per_input", "trials", "seed"}
 
@@ -149,9 +152,10 @@ def build_config(pairs: list[tuple[str, str, str]]) -> RunConfig:
             raise ConfigError(f"{where['t_step']}: key 't_step': must be positive, got {step}")
         if stop < start:
             raise ConfigError(f"{where['t_stop']}: key 't_stop': must be >= t_start")
-        count = (stop - start) / step + 1e-9
-        if count == math.inf:
-            raise ConfigError(f"{where['t_step']}: key 't_step': {step} gives too many points")
+        count = (stop - start) / step + 1e-9  # the range has floor(count) + 1 points
+        if not count < _MAX_TIME_POINTS:
+            raise ConfigError(f"{where['t_step']}: key 't_step': {step} gives too many "
+                              f"points: {count + 1:.4g} > {_MAX_TIME_POINTS}")
         grid = tuple(start + i * step for i in range(math.floor(count) + 1))
     if any(not math.isfinite(t) or t < 0 for t in grid):
         raise ConfigError("time grid values must be finite and non-negative")

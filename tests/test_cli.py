@@ -486,7 +486,7 @@ class TestErrors:
     def test_overflowing_time_range_exits_1(self, capsys):
         assert run_cli(["show", "--t-stop", "1e300", "--t-step", "1e-300"], capsys) == (
             1, "", "error: command-line flag --t-step: key 't_step': "
-                   "1e-300 gives too many points\n")
+                   "1e-300 gives too many points: inf > 10000000\n")
 
     @pytest.mark.parametrize("command", ["sweep", "mc"])
     def test_n_per_input_beyond_int64_exits_1(self, command, capsys):

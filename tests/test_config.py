@@ -10,6 +10,7 @@ from densecoding import (
     default_config,
     parse_config,
 )
+from densecoding import config
 
 
 class TestDefaults:
@@ -122,12 +123,16 @@ class TestErrors:
         ("n_per_input = 0\n", "line 1: key 'n_per_input': must be positive"),
         ("seed = -1\n", "line 1: key 'seed': must be non-negative"),
         ("t_start = 1\nt_stop = 0.5\n", "line 2: key 't_stop': must be >= t_start"),
-        ("t_stop = 1e300\nt_step = 1e-300\n", "line 2: key 't_step': 1e-300 gives too many points"),
+        ("t_stop = 1e300\nt_step = 1e-300\n",
+         "line 2: key 't_step': 1e-300 gives too many points: inf > 10000000"),
+        ("t_stop = 1e9\nt_step = 1e-9\n",
+         "line 2: key 't_step': 1e-09 gives too many points: 1e+18 > 10000000"),
         ("scheme = FIVE_STATE\n",
          "line 1: key 'scheme': expected THREE_STATE or FOUR_STATE, got 'FIVE_STATE'"),
         ("noise_order = SOMETIMES\n", "line 1: key 'noise_order': expected "
          "NOISE_BEFORE_ENCODING or NOISE_AFTER_ENCODING, got 'SOMETIMES'"),
     ], ids=["k=nan", "s<0", "n_per_input=0", "seed<0", "t_stop<t_start", "t_step_overflow",
+            "t_step_above_cap",
             "scheme", "noise_order"])
     def test_rejection_names_key_and_location(self, text, message):
         with pytest.raises(ConfigError) as info:
@@ -136,3 +141,20 @@ class TestErrors:
 
     def test_seed_zero_is_accepted(self):
         assert parse_config("seed = 0\n").seed == 0
+
+    def test_huge_time_range_is_refused_before_a_grid_is_built(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a time grid was built")
+        monkeypatch.setattr(config, "range", no_grid, raising=False)
+        with pytest.raises(ConfigError, match=r"key 't_step': 1e-09 gives too many points"):
+            parse_config("t_stop = 1e9\nt_step = 1e-9\n")
+
+    @pytest.mark.parametrize("t_stop, points", [(0.99, 100), (1.0, 101)])
+    def test_point_cap_is_on_the_grid_length(self, monkeypatch, t_stop, points):
+        monkeypatch.setattr(config, "_MAX_TIME_POINTS", 100)
+        text = f"t_stop = {t_stop}\nt_step = 0.01\n"
+        if points <= 100:
+            assert len(parse_config(text).time_grid) == points
+        else:
+            with pytest.raises(ConfigError, match="101 > 100"):
+                parse_config(text)
