@@ -68,12 +68,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     spec = cfg.spectrum
     if args.kappa_abs is not None:
         kappa_abs = args.kappa_abs
-        if not 0.0 < kappa_abs <= 1.0 or (kappa_abs < 1.0 and spec.delta_n == 0.0):
-            raise ValueError(f"kappa_abs must lie in (0, 1], and be 1 when delta_n = 0; "
-                             f"got {kappa_abs!r} with delta_n = {spec.delta_n:g}")
-        # |kappa_A(t)| = exp(-c_aa dn^2 t^2 / 2); kappa_abs = 1 is t = 0 for every dn.
-        t = 0.0 if kappa_abs == 1.0 else (
-            math.sqrt(-2.0 * math.log(kappa_abs) / spec.c_aa) / abs(spec.delta_n))
+        # |kappa_A(t)| = exp(-c_aa dn^2 t^2 / 2); kappa_abs = 1 is t = 0 for every dn,
+        # and no t reaches a kappa_abs outside (0, 1], or below 1 when dn = 0.
+        t = 0.0 if kappa_abs == 1.0 else math.inf
+        if 0.0 < kappa_abs < 1.0 and spec.delta_n != 0.0:
+            t = math.sqrt(-2.0 * math.log(kappa_abs) / spec.c_aa) / abs(spec.delta_n)
+        if not math.isfinite(t):
+            raise ValueError(f"kappa_abs must lie in (0, 1], and be 1 when delta_n = 0, so that "
+                             f"the stage time sqrt(-2 ln kappa_abs / c_aa) / |delta_n| is finite; "
+                             f"got {kappa_abs!r} with delta_n = {spec.delta_n:g} "
+                             f"and c_aa = {spec.c_aa:g}")
     else:
         t = args.t_a if args.t_a is not None else cfg.time_grid[-1]
         kappa_abs = abs(decoherence_function(spec, t))

@@ -14,7 +14,7 @@ from .environment import JointSpectrum
 from .protocol import EncodingScheme, NoiseOrder, SchemeVariant
 from .states import _frozen_record
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "default_config"]
+__all__ = ["ConfigError", "RunConfig", "parse_config"]
 
 CONFIG_DEFAULTS = {
     "omega0": "2",
@@ -170,6 +170,3 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document (empty text = all defaults)."""
     return build_config(tokenize_config(text))
 
-
-def default_config() -> RunConfig:
-    return parse_config("")

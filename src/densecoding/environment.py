@@ -21,7 +21,6 @@ __all__ = [
     "decoherence_function",
     "dephasing_mask",
     "evolve_pre_encoding",
-    "joint_dephasing_factor",
     "non_markovianity",
 ]
 
@@ -102,15 +101,6 @@ def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:
     return complex(_characteristic_function(spec, DephasingTimes(t_a, 0.0).t_a, 0.0))
 
 
-def joint_dephasing_factor(spec: JointSpectrum, times: DephasingTimes) -> complex:
-    """Total coherence factor after both local stages, cross-correlation included.
-
-    With equal times, equal variances and k = -1 the modulus is exactly 1:
-    the receiver-side stage rebuilds the coherence the sender-side stage lost.
-    """
-    return complex(_characteristic_function(spec, times.t_a, times.t_b))
-
-
 # Whether each photon is H (1) or V (0) in the basis (HH, HV, VH, VV); entry
 # (i, j) of a state picks up the frequency coefficient of ket i minus bra j.
 _SENDER_H = np.array([1.0, 1.0, 0.0, 0.0])
@@ -147,12 +137,7 @@ def _dephasing_masks(spec: JointSpectrum, t_a, t_b, flip_sender: bool = False,
 
 def evolve_pre_encoding(spec: JointSpectrum, t_a: float) -> np.ndarray:
     """Shared state after sender-side dephasing of |Phi+> for duration t_a."""
-    return _pre_encoding_states(spec, DephasingTimes(t_a, 0.0).t_a)
-
-
-def _pre_encoding_states(spec: JointSpectrum, t_a) -> np.ndarray:
-    """:func:`evolve_pre_encoding` for an array of checked durations: (..., 4, 4)."""
-    mask = _dephasing_masks(spec, t_a, 0.0, include_phase=True)
+    mask = dephasing_mask(spec, DephasingTimes(t_a, 0.0), include_phase=True)
     return bell_state(BellLabel.PHI_PLUS) * mask
 
 

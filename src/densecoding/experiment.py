@@ -310,16 +310,10 @@ def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.nd
     """Noise-free expected counts n * <P_i> for the sixteen settings."""
     if not (math.isfinite(n_per_projector) and n_per_projector > 0.0):
         raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
-    return n_per_projector * _tomography_probabilities(validate_density_matrix(rho, dim=4))
-
-
-def _tomography_probabilities(rho: np.ndarray) -> np.ndarray:
-    """Tr(P_i rho) clipped to [0, 1] for states shaped (..., 4, 4): (..., 16).
-
-    An einsum, not ``@``: BLAS would pick gemm or gemv by the stack size, and
-    a state's last bit would then depend on the states stacked with it."""
-    probs = np.einsum("pk,...k->...p", _DESIGN, rho.reshape(rho.shape[:-2] + (16,))).real
-    return np.clip(probs, 0.0, 1.0)
+    rho = validate_density_matrix(rho, dim=4)
+    # An einsum, not ``@``: a BLAS gemv may sum in another order and move the last bits.
+    probs = np.einsum("pk,k->p", _DESIGN, rho.reshape(16)).real
+    return n_per_projector * np.clip(probs, 0.0, 1.0)
 
 
 def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.ndarray:

@@ -13,9 +13,7 @@ The density-matrix route :func:`simulate_protocol` is the theory of record.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import math
 import warnings
 
@@ -129,38 +127,6 @@ class ConditionalTable:
         object.__setattr__(self, "p_y_given_x", p)
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-
-    def to_csv(self) -> str:
-        """Serialize as "input,output,p" rows, probabilities at 17 significant digits."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["input", "output", "p"])
-        for i, x in enumerate(self.inputs):
-            for j, y in enumerate(self.outputs):
-                writer.writerow([x.value, y.value, f"{self.p_y_given_x[i, j]:.17g}"])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> ConditionalTable:
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["input", "output", "p"]:
-            raise ValueError('expected header "input,output,p"')
-        entries: dict[tuple[BellLabel, BellLabel], float] = {}
-        for row in rows[1:]:
-            if len(row) != 3:
-                raise ValueError(f"malformed row {row!r}")
-            cell = BellLabel(row[0]), BellLabel(row[1])
-            if cell in entries:
-                raise ValueError(f"repeated cell ({row[0]}, {row[1]})")
-            entries[cell] = float(row[2])
-        inputs = tuple(dict.fromkeys(x for x, _ in entries))
-        outputs = tuple(dict.fromkeys(y for _, y in entries))
-        missing = [f"({x.value}, {y.value})" for x in inputs for y in outputs
-                   if (x, y) not in entries]
-        if missing:
-            raise ValueError(f"missing cells: {', '.join(missing)}")
-        mat = np.array([[entries[x, y] for y in outputs] for x in inputs])
-        return cls(inputs, outputs, mat)
 
 
 def _checked_probabilities(p: np.ndarray) -> np.ndarray:

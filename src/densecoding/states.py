@@ -12,11 +12,9 @@ import inspect
 import numpy as np
 
 __all__ = [
-    "BASIS_LABELS",
     "BellLabel",
     "InvariantViolation",
     "PAULI_FOR_BELL",
-    "BELL_FOR_PAULI",
     "Party",
     "PauliLabel",
     "apply_pauli",
@@ -32,10 +30,6 @@ __all__ = [
     "von_neumann_entropy",
 ]
 
-#: Fixed ordering of the two-qubit product basis used everywhere, including
-#: the plain-text serialization format.
-BASIS_LABELS = ("HH", "HV", "VH", "VV")
-
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
@@ -50,17 +44,17 @@ def _frozen_record(cls: type) -> type:
 
     It gets the shared, already compiled methods below rather than ones
     written and compiled per class at import: ``__init__`` binds arguments
-    to the fields in order, class-level values being defaults, then calls
+    to the fields in order, class-level values being defaults, through
+    ``__signature__`` unless every field is given by position, then calls
     the class's ``__post_init__`` if it has one; equality, hashing and repr
     work over the field values; assignment and deletion raise
     ``AttributeError``.
     """
     annotations = vars(cls)["__annotations__"]
     cls.__match_args__ = tuple(annotations)
-    cls._field_defaults = {name: vars(cls)[name] for name in annotations if name in vars(cls)}
     cls.__signature__ = inspect.Signature([
         inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=annotation,
-                          default=cls._field_defaults.get(name, inspect.Parameter.empty))
+                          default=vars(cls).get(name, inspect.Parameter.empty))
         for name, annotation in annotations.items()], return_annotation=None)
     cls.__init__ = _record_init
     cls.__eq__ = _record_eq
@@ -75,36 +69,16 @@ def _record_init(self, *args, **kwargs) -> None:
     cls = type(self)
     fields = cls.__match_args__
     if kwargs or len(args) != len(fields):
-        args = _bound_arguments(cls, args, kwargs)
+        try:
+            bound = cls.__signature__.bind(*args, **kwargs)
+        except TypeError as exc:
+            raise TypeError(f"{cls.__qualname__}() {exc}") from None
+        bound.apply_defaults()
+        args = bound.args
     vars(self).update(zip(fields, args))
     post_init = getattr(cls, "__post_init__", None)
     if post_init is not None:
         post_init(self)
-
-
-def _bound_arguments(cls: type, args: tuple, kwargs: dict) -> tuple:
-    """The field values of a call, defaults filled in, with Python's own
-    checks and messages for a function of the fields."""
-    fields, defaults = cls.__match_args__, cls._field_defaults
-    where = f"{cls.__qualname__}.__init__()"
-    given = dict(zip(fields, args))
-    for name, value in kwargs.items():
-        if name not in fields:
-            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
-        if name in given:
-            raise TypeError(f"{where} got multiple values for argument {name!r}")
-        given[name] = value
-    if len(args) > len(fields):  # counts include self, as Python's do
-        low = f"from {len(fields) - len(defaults) + 1} to " if defaults else ""
-        raise TypeError(f"{where} takes {low}{len(fields) + 1} positional arguments "
-                        f"but {len(args) + 1} were given")
-    missing = [repr(name) for name in fields if name not in given and name not in defaults]
-    if missing:
-        names = (" and ".join(missing) if len(missing) < 3
-                 else ", ".join(missing[:-1]) + ", and " + missing[-1])
-        raise TypeError(f"{where} missing {len(missing)} required positional "
-                        f"argument{'s' if len(missing) > 1 else ''}: {names}")
-    return tuple(given[name] if name in given else defaults[name] for name in fields)
 
 
 def _record_values(self) -> tuple:
@@ -183,8 +157,6 @@ PAULI_FOR_BELL = {
     BellLabel.PSI_MINUS: PauliLabel.Y,
 }
 
-BELL_FOR_PAULI = {p: b for b, p in PAULI_FOR_BELL.items()}
-
 
 def validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the input as ndarray.
@@ -197,17 +169,12 @@ def validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarr
         raise InvariantViolation(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvariantViolation(f"expected a {dim}x{dim} matrix, got {rho.shape}")
-    return _validate_states(rho)
-
-
-def _validate_states(rho: np.ndarray) -> np.ndarray:
-    """The checks of :func:`validate_density_matrix` on a stack (..., n, n) at once."""
     if not np.all(np.isfinite(rho.view(float))):
         raise InvariantViolation("density matrix has non-finite entries")
-    herm_err = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
+    herm_err = np.max(np.abs(rho - rho.conj().T))
     if herm_err > _HERMITICITY_TOL:
         raise InvariantViolation(f"matrix not Hermitian: max asymmetry {herm_err:.3e}")
-    trace_err = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
+    trace_err = abs(np.trace(rho) - 1.0)
     if trace_err > _TRACE_TOL:
         raise InvariantViolation(f"trace differs from 1 by {trace_err:.3e}")
     lo = float(np.linalg.eigvalsh(rho).min())

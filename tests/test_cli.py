@@ -242,12 +242,22 @@ class TestMc:
         pytest.param(["--kappa-abs", "-0.5"], id="negative"),
         pytest.param(["--kappa-abs", "nan"], id="nan"),
         pytest.param(["--kappa-abs", "0.5", "--delta-n", "0"], id="delta_n=0"),
+        pytest.param(["--kappa-abs", "0.5", "--delta-n", "1e-310"], id="t_overflows_in_delta_n"),
+        pytest.param(["--kappa-abs", "0.5", "--c-aa", "5e-324"], id="t_overflows_in_c_aa"),
     ])
     def test_rejects_unreachable_kappa(self, flags, capsys):
         code, stdout, stderr = run_cli(["mc", *flags], capsys)
         assert code == 1
         assert stdout == ""
         assert stderr.startswith("error: kappa_abs must lie in (0, 1]")
+
+    def test_overflowing_stage_time_names_its_inputs(self, capsys):
+        code, stdout, stderr = run_cli(["mc", "--kappa-abs", "0.5", "--delta-n", "1e-310"],
+                                       capsys)
+        assert code == 1 and stdout == ""
+        assert stderr == ("error: kappa_abs must lie in (0, 1], and be 1 when delta_n = 0, so "
+                          "that the stage time sqrt(-2 ln kappa_abs / c_aa) / |delta_n| is "
+                          "finite; got 0.5 with delta_n = 1e-310 and c_aa = 1\n")
 
     @pytest.mark.parametrize("delta_n", ["1", "0"])
     def test_kappa_one_is_the_noiseless_channel(self, delta_n, capsys):

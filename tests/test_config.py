@@ -7,7 +7,6 @@ from densecoding import (
     NoiseOrder,
     SchemeVariant,
     closed_form_mi4,
-    default_config,
     parse_config,
 )
 from densecoding import config
@@ -31,9 +30,6 @@ class TestDefaults:
         assert cfg.time_grid[-1] == pytest.approx(2.0)
         assert len(cfg.time_grid) == 21
         assert cfg.output_path == ""
-
-    def test_default_config_is_the_empty_text(self):
-        assert default_config() == parse_config("")
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# a comment\n\nk = -0.5  # inline comment\n")

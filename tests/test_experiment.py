@@ -40,21 +40,18 @@ from densecoding import (
     simulate_protocol,
     sweep_rows_to_csv,
     tomography_counts,
+    validate_density_matrix,
 )
 from densecoding import experiment
 from densecoding.config import build_config
-from densecoding.environment import _pre_encoding_states
 from densecoding.experiment import (
     TOMOGRAPHY_SETTINGS,
     _bootstrap_stats,
     _draw_counts,
     _best_offsets,
-    _reconstruct,
     _screened_offsets,
-    _tomography_probabilities,
 )
 from densecoding.protocol import _mi_curve
-from densecoding.states import _validate_states
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -379,11 +376,8 @@ class TestTomographyProbabilities:
         states = _random_states(seed, count)
         kets = [np.kron(_SETTING_KETS[a], _SETTING_KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
         explicit = np.array([[np.vdot(ket, rho @ ket).real for ket in kets] for rho in states])
-        probs = _tomography_probabilities(states)
+        probs = np.array([expected_tomography_counts(rho, 1.0) for rho in states])
         np.testing.assert_allclose(probs, np.clip(explicit, 0.0, 1.0), rtol=0.0, atol=1e-15)
-        for rho, row in zip(states, probs):
-            np.testing.assert_array_equal(_tomography_probabilities(rho), row)
-            np.testing.assert_array_equal(_tomography_probabilities(rho[None])[0], row)
 
     def test_design_matrix_has_the_bits_of_the_kron_products(self):
         kets = [np.kron(experiment._KETS[a], experiment._KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
@@ -391,19 +385,20 @@ class TestTomographyProbabilities:
         assert experiment._DESIGN.tobytes() == kron.tobytes()
 
 
-class TestSweepStacks:
-    """The stacked helpers behind the scalar routes build valid states."""
+class TestPreEncodingStates:
+    """The sender-stage state and its exact-count reconstruction are valid states."""
 
     @given(st.floats(0.2, 2.5), st.floats(0.2, 2.5), st.floats(-1.0, 1.0),
            st.floats(-2.0, 2.0), st.floats(-3.0, 5.0),
            st.lists(st.floats(0.0, 2.5), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
-    def test_pre_encoding_and_reconstructed_stacks_are_states(self, c_aa, c_bb, k, delta_n,
-                                                              omega0, grid):
+    def test_pre_encoding_and_reconstructed_states_are_valid(self, c_aa, c_bb, k, delta_n,
+                                                             omega0, grid):
         spec = JointSpectrum(omega0=omega0, c_aa=c_aa, c_bb=c_bb, k=k, delta_n=delta_n)
-        states = _validate_states(_pre_encoding_states(spec, np.array(grid)))
-        vals, vecs = _reconstruct(_tomography_probabilities(states))
-        _validate_states((vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
+        for t in grid:
+            rho = validate_density_matrix(evolve_pre_encoding(spec, t), dim=4)
+            # reconstruct_linear_inversion validates the state it returns.
+            reconstruct_linear_inversion(expected_tomography_counts(rho, 1.0), 1.0)
 
 
 class TestSweepFactorisations:

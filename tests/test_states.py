@@ -24,7 +24,7 @@ from densecoding import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from densecoding.states import _concurrences, _validate_states
+from densecoding.states import _concurrences
 
 BELLS = list(BellLabel)
 PAULIS = list(PauliLabel)
@@ -310,17 +310,14 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             validate_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
 
-    @pytest.mark.parametrize("bad", [
-        np.eye(4) / 4 + 0.1 * np.eye(4, k=1),
-        np.diag([0.6, -0.1, 0.25, 0.25]),
-        np.diag([math.nan, 0.25, 0.25, 0.25]),
+    @pytest.mark.parametrize("bad, message", [
+        (np.eye(4) / 4 + 0.1 * np.eye(4, k=1), "matrix not Hermitian"),
+        (np.diag([0.6, -0.1, 0.25, 0.25]), "matrix not positive semidefinite"),
+        (np.diag([math.nan, 0.25, 0.25, 0.25]), "density matrix has non-finite entries"),
     ], ids=["non_hermitian", "negative", "nan"])
-    def test_stack_with_one_bad_state_rejected(self, bad):
-        stack = np.array([bell_state(label) for label in BellLabel] * 3)
-        _validate_states(stack)
-        stack[7] = bad
-        with pytest.raises(InvariantViolation):
-            _validate_states(stack)
+    def test_rejects_bad_state(self, bad, message):
+        with pytest.raises(InvariantViolation, match=message):
+            validate_density_matrix(bad)
 
     @pytest.mark.parametrize("rho, dim, message", [
         (np.ones((4, 3)) / 4, None, r"density matrix must be square, got shape \(4, 3\)"),
