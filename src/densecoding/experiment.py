@@ -21,10 +21,10 @@ from .protocol import (
     EncodingScheme,
     NoiseOrder,
     SchemeVariant,
-    _born_tables,
     _checked_probabilities,
     _mi_bits,
     _mi_curve,
+    _sector_tables,
 )
 from .states import BellLabel, _frozen_record, validate_density_matrix
 
@@ -358,11 +358,11 @@ def _reconstruct(freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals / total, vecs
 
 
-# Bootstrap count tables (rows x trials) per block of stacked rows, so 128
+# Bootstrap count tables (rows x trials) per block of stacked rows, so 256
 # rows at two trials.  Blocks bound memory only: the one generator runs on
 # from block to block in row order, and nothing else of a row depends on
 # the other rows of its block.
-_TABLES_PER_BLOCK = 256
+_TABLES_PER_BLOCK = 512
 
 
 def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
@@ -384,7 +384,9 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
     One generator, ``default_rng(seed)``, draws ``trials`` count tables for
     each row in turn, a block of rows per multinomial call: a prefix of the
     grid gives a prefix of the rows, but a sweep of ``grid[5:]`` is not rows
-    5.. of the sweep of ``grid``.  The arguments and Born tables are checked.
+    5.. of the sweep of ``grid``.  Each row's Born table is read from the two
+    sector coherences at its t, bit for bit the table of ``simulate_protocol``;
+    the arguments and tables are checked.
     """
     values = _sweep_values(spec, time_grid, scheme, n_per_input, trials, seed, s, noise_order)
     return [SweepRow(*row, scheme.variant) for row in values.tolist()]
@@ -393,7 +395,10 @@ def run_sweep(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
 def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
                   n_per_input: int, trials: int, seed: int, s: float,
                   noise_order: NoiseOrder) -> np.ndarray:
-    """The six float columns of :func:`run_sweep`, one row per t: (rows, 6)."""
+    """The six float columns of :func:`run_sweep`, one row per t: (rows, 6).
+
+    A block's tables take two characteristic-function values per row
+    (``_sector_tables``), not the 4x4 density-matrix contraction."""
     grid = np.array([float(t) for t in time_grid])
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise ValueError(f"time grid must be non-empty, finite and non-negative: {grid}")
@@ -411,7 +416,7 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
         # hypot, as Python's abs(complex) in decoherence_function; np.abs can
         # differ in the last bit.
         kappa_abs = np.hypot(kappa.real, kappa.imag)
-        tables = _checked_probabilities(_born_tables(spec, t, t, scheme, noise_order))
+        tables = _checked_probabilities(_sector_tables(spec, t, t, scheme, noise_order))
         theory = np.maximum(0.0, _mi_bits(priors, tables) - s)
         mean, std = _bootstrap_stats(priors, _draw_counts(tables, n_per_input, trials, rng),
                                      n_per_input)

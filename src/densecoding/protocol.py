@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .environment import DephasingTimes, JointSpectrum, _dephasing_masks
+from .environment import DephasingTimes, JointSpectrum, _characteristic_function, _dephasing_masks
 from .states import BellLabel, _frozen_record, _xlogy, bell_state, binary_entropy
 
 __all__ = [
@@ -58,6 +58,7 @@ SECTOR_PARTNER = {
     BellLabel.PSI_PLUS: BellLabel.PSI_MINUS,
     BellLabel.PSI_MINUS: BellLabel.PSI_PLUS,
 }
+_PSI_SECTOR = (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
 
 
 class SchemeVariant(enum.Enum):
@@ -169,11 +170,19 @@ def conditional_probabilities(scheme: EncodingScheme, m: float) -> ConditionalTa
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {m}")
-    rows = np.zeros((len(scheme.alphabet), 4))
-    for i, x in enumerate(scheme.alphabet):
-        rows[i, BELL_OUTPUT_ORDER.index(x)] = (1.0 + m) / 2.0
-        rows[i, BELL_OUTPUT_ORDER.index(SECTOR_PARTNER[x])] = (1.0 - m) / 2.0
-    return ConditionalTable(scheme.alphabet, BELL_OUTPUT_ORDER, rows)
+    return ConditionalTable(scheme.alphabet, BELL_OUTPUT_ORDER,
+                            _pair_tables(scheme.alphabet, m, m))
+
+
+def _pair_tables(alphabet, m_phi, m_psi) -> np.ndarray:
+    """p(y|x) tables (..., inputs, 4) at sector visibilities m_phi and m_psi of one
+    shape: each x is detected as itself with (1+m)/2, as its partner with (1-m)/2."""
+    rows = np.zeros(np.shape(m_phi) + (len(alphabet), 4))
+    for i, x in enumerate(alphabet):
+        m = m_psi if x in _PSI_SECTOR else m_phi
+        rows[..., i, BELL_OUTPUT_ORDER.index(x)] = (1.0 + m) / 2.0
+        rows[..., i, BELL_OUTPUT_ORDER.index(SECTOR_PARTNER[x])] = (1.0 - m) / 2.0
+    return rows
 
 
 def mutual_information(scheme: EncodingScheme, table: ConditionalTable,
@@ -307,7 +316,6 @@ def _mi_curve(kappa_abs, k, scheme: EncodingScheme, variance_ratio: float = 1.0,
 
 _PROJECTORS = np.array([bell_state(y) for y in BELL_OUTPUT_ORDER])
 _PROJECTORS.setflags(write=False)
-_PSI_SECTOR = (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
 
 
 def simulate_protocol(spec: JointSpectrum, times: DephasingTimes,
@@ -337,3 +345,14 @@ def _born_tables(spec: JointSpectrum, t_a, t_b, scheme: EncodingScheme,
                       axis=-3)
     probs = np.einsum("yji,...xij->...xy", _PROJECTORS, states).real
     return np.clip(probs, 0.0, None)
+
+
+def _sector_tables(spec: JointSpectrum, t_a, t_b, scheme: EncodingScheme,
+                   noise_order: NoiseOrder) -> np.ndarray:
+    """:func:`_born_tables`, bit for bit, from the two coherences the Bell
+    projectors read: phi(t_a, t_b) in the Phi sector, and in the Psi sector
+    phi(-t_a, -t_b) with the noise before the encoding, phi(t_a, -t_b) after it."""
+    sign = -1.0 if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING else 1.0
+    m_phi = _characteristic_function(spec, t_a, t_b, include_phase=False).real
+    m_psi = _characteristic_function(spec, sign * t_a, -t_b, include_phase=False).real
+    return _pair_tables(scheme.alphabet, m_phi, m_psi)

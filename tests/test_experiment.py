@@ -4,6 +4,7 @@ import csv
 import functools
 import io
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -42,7 +43,8 @@ from densecoding import (
     tomography_counts,
     validate_density_matrix,
 )
-from densecoding import experiment
+from densecoding import environment, experiment, protocol
+from densecoding.cli import main
 from densecoding.config import build_config
 from densecoding.experiment import (
     TOMOGRAPHY_SETTINGS,
@@ -55,6 +57,7 @@ from densecoding.protocol import _mi_curve
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def random_density_matrix(rng):
@@ -594,9 +597,41 @@ class TestBatchedSweep:
             assert row.mi_mc_mean == max(0.0, mean - s)
             assert row.mi_mc_std == std
 
-    @pytest.mark.parametrize("m", [1, 127, 128, 129, 200])
+    @pytest.fixture
+    def density_matrix_calls(self, monkeypatch):
+        """A list that grows by one name per call of the density-matrix route."""
+        names = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                names.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+
+        spy(protocol, "_born_tables")
+        spy(protocol, "_dephasing_masks")
+        spy(environment, "_dephasing_masks")
+        return names
+
+    def test_sweep_takes_no_density_matrix(self, density_matrix_calls, tmp_path, capsys):
+        spec = JointSpectrum(c_bb=2.0, k=-0.5)
+        for order in NoiseOrder:
+            run_sweep(spec, np.linspace(0.0, 2.0, 9), FOUR, 1000, 2, 5, noise_order=order)
+        assert main(["sweep", "--t-list", "0, 0.5, 1e300", "--trials", "2",
+                     "--noise-order", "NOISE_AFTER_ENCODING", "--c-bb", "2"]) == 0
+        assert main(["sweep", "--config", str(DEMO_CONFIGS / "three_state.cfg"),
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert capsys.readouterr().out.startswith("t_a,kappa_abs,")
+        assert density_matrix_calls == []
+        # The spies see the route the oracle takes: one mask per sender frame.
+        simulate_protocol(spec, DephasingTimes(0.5, 0.5), FOUR)
+        assert density_matrix_calls == ["_born_tables", "_dephasing_masks", "_dephasing_masks"]
+
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 280])
     def test_prefix_of_grid_gives_prefix_of_rows(self, m):
-        # two trials put 128 rows in a block
+        # two trials put 256 rows in a block
         spec = JointSpectrum(c_bb=2.0, k=-0.5)
         grid = np.linspace(0.0, 2.0, 300)
         full = run_sweep(spec, grid, FOUR, 1000, 2, 5)
@@ -606,19 +641,19 @@ class TestBatchedSweep:
         spec = JointSpectrum(k=-0.5)
         grid = np.linspace(0.0, 2.0, 41)
         outputs = set()
-        for tables in (1, 14, 256, 10**6):
+        for tables in (1, 14, 256, 512, 10**6):
             monkeypatch.setattr(experiment, "_TABLES_PER_BLOCK", tables)
             outputs.add(sweep_rows_to_csv(run_sweep(spec, grid, THREE, 1000, 3, 9)))
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("order", list(NoiseOrder))
     def test_bytes_do_not_depend_on_block_size_in_benchmark_regimes(self, monkeypatch, order):
-        # Blocks of 1, 2 and 128 rows at two trials: a BLAS product would
+        # Blocks of 1, 2, 128 and 256 rows at two trials: a BLAS product would
         # switch between gemv and gemm here and move the last bit.
         spec = JointSpectrum(c_bb=2.0, k=-0.5)
         grid = np.linspace(0.0, 2.0, 300)
         outputs = set()
-        for tables in (2, 4, 256):
+        for tables in (2, 4, 256, 512):
             monkeypatch.setattr(experiment, "_TABLES_PER_BLOCK", tables)
             outputs.add(sweep_rows_to_csv(run_sweep(spec, grid, FOUR, 10_000, 2, 7,
                                                     noise_order=order)))

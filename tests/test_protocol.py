@@ -32,7 +32,14 @@ from densecoding import (
     simulate_protocol,
     von_neumann_entropy,
 )
-from densecoding.protocol import _born_tables, _mi_bits, _mi_curve, _sector_mi
+from densecoding.protocol import (
+    _born_tables,
+    _checked_probabilities,
+    _mi_bits,
+    _mi_curve,
+    _sector_mi,
+    _sector_tables,
+)
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -418,6 +425,44 @@ class TestSectorKernel:
         m_phi, m_psi = table[0, 0] - table[0, 1], table[2, 2] - table[2, 3]
         assert float(_sector_mi(scheme.priors, m_phi, m_psi)) == pytest.approx(
             born, abs=1e-14)
+
+
+class TestSectorTables:
+    """The sweep's tables, read from one coherence per sector, are the checked
+    Born tables of the density-matrix route to the last bit (sign of 0 too)."""
+
+    @staticmethod
+    def assert_same_bits(spec, t_a, t_b, scheme, order):
+        born = _checked_probabilities(_born_tables(spec, t_a, t_b, scheme, order))
+        sector = _sector_tables(spec, t_a, t_b, scheme, order)
+        assert np.array_equal(sector, born)
+        assert sector.shape == born.shape and sector.tobytes() == born.tobytes()
+
+    @given(st.floats(-5.0, 5.0), st.floats(0.05, 4.0), st.floats(0.05, 4.0),
+           st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+           st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+           st.lists(st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+                    min_size=1, max_size=8),
+           st.sampled_from([THREE, FOUR]), st.sampled_from(list(NoiseOrder)))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_checked_born_tables(self, omega0, c_aa, c_bb, k, delta_n, times,
+                                           scheme, order):
+        spec = JointSpectrum(omega0, c_aa, c_bb, k, delta_n)
+        t_a, t_b = np.array(times).T
+        self.assert_same_bits(spec, t_a, t_b, scheme, order)
+
+    @pytest.mark.parametrize("delta_n, t", [(1.0, 0.0), (1.0, 1e300), (1e150, 1e160)])
+    @pytest.mark.parametrize("c_bb, k", [(1.0, -1.0), (2.0, -0.5), (1.0, 1.0)])
+    @pytest.mark.parametrize("scheme", [THREE, FOUR], ids=["three", "four"])
+    @pytest.mark.parametrize("order", list(NoiseOrder))
+    def test_equal_the_checked_born_tables_at_the_ends(self, delta_n, t, c_bb, k, scheme,
+                                                       order):
+        # t = 0 keeps every coherence; 1e300, and dn t = 1e310 past the float
+        # range, read the overflow limit (exactly 1 for k = -1 at equal variances).
+        spec = JointSpectrum(omega0=-1.5, c_bb=c_bb, k=k, delta_n=delta_n)
+        times = np.array([t, 0.0, 0.5 * t])
+        for t_a, t_b in ((times, times), (times, times[::-1]), (t, 0.0)):
+            self.assert_same_bits(spec, t_a, t_b, scheme, order)
 
 
 class TestMiCurve:
