@@ -45,10 +45,10 @@ def _frozen_record(cls: type) -> type:
     It gets the shared, already compiled methods below rather than ones
     written and compiled per class at import: ``__init__`` binds arguments
     to the fields in order, class-level values being defaults, through
-    ``__signature__`` unless every field is given by position, then calls
-    the class's ``__post_init__`` if it has one; equality, hashing and repr
-    work over the field values; assignment and deletion raise
-    ``AttributeError``.
+    ``__signature__`` unless every field is given in order (by position, then
+    by keyword), then calls the class's ``__post_init__`` if it has one;
+    equality, hashing and repr work over the field values; assignment and
+    deletion raise ``AttributeError``.
     """
     annotations = vars(cls)["__annotations__"]
     cls.__match_args__ = tuple(annotations)
@@ -68,7 +68,9 @@ def _frozen_record(cls: type) -> type:
 def _record_init(self, *args, **kwargs) -> None:
     cls = type(self)
     fields = cls.__match_args__
-    if kwargs or len(args) != len(fields):
+    if kwargs and tuple(kwargs) == fields[len(args):]:
+        args += tuple(kwargs.values())
+    elif kwargs or len(args) != len(fields):
         try:
             bound = cls.__signature__.bind(*args, **kwargs)
         except TypeError as exc:

@@ -1,8 +1,9 @@
 """The package's eight frozen records keep the behaviour they had as frozen
 dataclasses: repr, signature, equality and hashing over the fields,
 immutability, defaults, and a construction hook looked up on the class
-(which the benchmark's tracer patches).  A bad call raises the ``TypeError``
-of ``inspect.Signature.bind``, prefixed with the class name."""
+(which the benchmark's tracer patches).  A call that gives every field in
+order skips ``inspect.Signature.bind``; a bad call raises its ``TypeError``,
+prefixed with the class name."""
 
 import inspect
 
@@ -162,6 +163,16 @@ def test_argument_errors(cls):
      "DephasingTimes() multiple values for argument 't_a'"),
     (lambda: DephasingTimes(1.0, 2.0, 3.0, x=1.0),
      "DephasingTimes() too many positional arguments"),
+    # Keywords that are not the remaining fields in order keep the bind wording.
+    (lambda: DephasingTimes(t_b=2.0), "DephasingTimes() missing a required argument: 't_a'"),
+    (lambda: DephasingTimes(t_a=1.0, t_b=2.0, x=3.0),
+     "DephasingTimes() got an unexpected keyword argument 'x'"),
+    (lambda: DephasingTimes(1.0, t_a=1.0, t_b=2.0),
+     "DephasingTimes() multiple values for argument 't_a'"),
+    (lambda: DephasingTimes(1.0, 2.0, t_b=2.0),
+     "DephasingTimes() multiple values for argument 't_b'"),
+    (lambda: FitResult(k_hat=1.0, s_hat=0.0, residual_sum_squares=0.0),
+     "FitResult() missing a required argument: 'n_points'"),
 ])
 def test_argument_error_messages(call, message):
     with pytest.raises(TypeError) as info:
@@ -170,16 +181,24 @@ def test_argument_error_messages(call, message):
 
 
 @each_record
-def test_every_field_by_position_skips_the_signature(cls, monkeypatch):
+def test_every_field_in_order_skips_the_signature(cls, monkeypatch):
     calls = []
     bind = inspect.Signature.bind
     monkeypatch.setattr(inspect.Signature, "bind",
                         lambda *args, **kwargs: calls.append(1) or bind(*args, **kwargs))
     args = RECORDS[cls][0]
-    cls(*args)
+    by_name = dict(zip(fields(cls), args))
+    expected = repr(cls(*args))
+    # By position, by keyword in declaration order, or positions then the rest in order.
+    assert repr(cls(**by_name)) == expected
+    assert repr(cls(args[0], **dict(list(by_name.items())[1:]))) == expected
     assert calls == []
-    cls(**dict(zip(fields(cls), args)))
+    # Keywords out of order, and a field left to its default, are bound.
+    assert repr(cls(**dict(reversed(by_name.items())))) == expected
     assert calls == [1]
+    if cls is JointSpectrum:
+        assert cls(omega0=2.0, c_aa=1.0, c_bb=1.0, k=-1.0) == cls(2.0, 1.0, 1.0, -1.0, 1.0)
+        assert calls == [1, 1]
 
 
 def test_defaults():
