@@ -156,8 +156,8 @@ def build_config(pairs: list[tuple[str, str, str]]) -> RunConfig:
         if not count < _MAX_TIME_POINTS:
             raise ConfigError(f"{where['t_step']}: key 't_step': {step} gives too many "
                               f"points: {count + 1:.4g} > {_MAX_TIME_POINTS}")
-        grid = tuple(start + i * step for i in range(math.floor(count) + 1))
-    if any(not math.isfinite(t) or t < 0 for t in grid):
+        grid = tuple([start + i * step for i in range(math.floor(count) + 1)])
+    if min(grid) < 0 or not math.isfinite(max(grid)):
         raise ConfigError("time grid values must be finite and non-negative")
 
     return RunConfig(spectrum=spectrum, scheme=scheme, time_grid=grid,

@@ -86,7 +86,8 @@ def _characteristic_function(spec: JointSpectrum, a, b, include_phase: bool = Tr
         u, v = spec.delta_n * a, spec.delta_n * b
         # NaN only where dn a or dn b overflowed (inf - inf, 0 * inf): dn^2 Q(a, b).
         quad = exponent(u, v)
-        quad = np.where(np.isnan(quad), np.where(exponent(a, b) > 0.0, np.inf, 0.0), quad)
+        if np.isnan(quad).any():
+            quad = np.where(np.isnan(quad), np.where(exponent(a, b) > 0.0, np.inf, 0.0), quad)
         z = np.asarray(-quad / 2.0, dtype=complex)  # 1j * inf would have a NaN real part
         z.imag = (u + v) * spec.omega0 / 2.0 if include_phase else 0.0
         return np.exp(z)

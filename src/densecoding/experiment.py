@@ -399,7 +399,7 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
 
     A block's tables take two characteristic-function values per row
     (``_sector_tables``), not the 4x4 density-matrix contraction."""
-    grid = np.array([float(t) for t in time_grid])
+    grid = np.fromiter(time_grid, float)
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0.0)):
         raise ValueError(f"time grid must be non-empty, finite and non-negative: {grid}")
     if trials < 2:
@@ -426,10 +426,14 @@ def _sweep_values(spec: JointSpectrum, time_grid, scheme: EncodingScheme,
 
 
 def _sweep_csv(values, schemes) -> str:
-    """Sweep CSV text of rows of six floats and each row's scheme name."""
-    return "t_a,kappa_abs,concurrence,mi_theory,mi_mc_mean,mi_mc_std,scheme\n" + "".join(
-        "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s\n" % (*row, name)
-        for row, name in zip(values, schemes))
+    """Sweep CSV text of rows of six floats and each row's scheme name.  A
+    concurrence equal to a nonzero kappa_abs reuses its text (0.0 == -0.0)."""
+    lines = ["t_a,kappa_abs,concurrence,mi_theory,mi_mc_mean,mi_mc_std,scheme\n"]
+    for (t, kappa, conc, mi, mean, std), name in zip(values, schemes):
+        k = "%.17g" % kappa
+        c = k if conc == kappa and kappa else "%.17g" % conc
+        lines.append("%.17g,%s,%s,%.17g,%.17g,%.17g,%s\n" % (t, k, c, mi, mean, std, name))
+    return "".join(lines)
 
 
 def sweep_rows_to_csv(rows) -> str:

@@ -171,17 +171,19 @@ def conditional_probabilities(scheme: EncodingScheme, m: float) -> ConditionalTa
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {m}")
     return ConditionalTable(scheme.alphabet, BELL_OUTPUT_ORDER,
-                            _pair_tables(scheme.alphabet, m, m))
+                            _pair_tables(scheme.alphabet, (m, m)))
 
 
-def _pair_tables(alphabet, m_phi, m_psi) -> np.ndarray:
-    """p(y|x) tables (..., inputs, 4) at sector visibilities m_phi and m_psi of one
-    shape: each x is detected as itself with (1+m)/2, as its partner with (1-m)/2."""
-    rows = np.zeros(np.shape(m_phi) + (len(alphabet), 4))
+def _pair_tables(alphabet, m) -> np.ndarray:
+    """p(y|x) tables (..., inputs, 4) at sector visibilities m = (m_phi, m_psi), each
+    of shape ...: each x is detected as itself with (1+m)/2, as its partner with (1-m)/2."""
+    m = np.asarray(m)
+    plus, minus = (1.0 + m) / 2.0, (1.0 - m) / 2.0
+    rows = np.zeros(m.shape[1:] + (len(alphabet), 4))
     for i, x in enumerate(alphabet):
-        m = m_psi if x in _PSI_SECTOR else m_phi
-        rows[..., i, BELL_OUTPUT_ORDER.index(x)] = (1.0 + m) / 2.0
-        rows[..., i, BELL_OUTPUT_ORDER.index(SECTOR_PARTNER[x])] = (1.0 - m) / 2.0
+        sector = int(x in _PSI_SECTOR)
+        rows[..., i, BELL_OUTPUT_ORDER.index(x)] = plus[sector]
+        rows[..., i, BELL_OUTPUT_ORDER.index(SECTOR_PARTNER[x])] = minus[sector]
     return rows
 
 
@@ -351,8 +353,9 @@ def _sector_tables(spec: JointSpectrum, t_a, t_b, scheme: EncodingScheme,
                    noise_order: NoiseOrder) -> np.ndarray:
     """:func:`_born_tables`, bit for bit, from the two coherences the Bell
     projectors read: phi(t_a, t_b) in the Phi sector, and in the Psi sector
-    phi(-t_a, -t_b) with the noise before the encoding, phi(t_a, -t_b) after it."""
+    phi(-t_a, -t_b) with the noise before the encoding, phi(t_a, -t_b) after it;
+    both from one call on the stacked durations."""
     sign = -1.0 if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING else 1.0
-    m_phi = _characteristic_function(spec, t_a, t_b, include_phase=False).real
-    m_psi = _characteristic_function(spec, sign * t_a, -t_b, include_phase=False).real
-    return _pair_tables(scheme.alphabet, m_phi, m_psi)
+    m = _characteristic_function(spec, np.stack([t_a, sign * t_a]), np.stack([t_b, -t_b]),
+                                 include_phase=False)
+    return _pair_tables(scheme.alphabet, m.real)

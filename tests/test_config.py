@@ -1,6 +1,7 @@
 """Tests for the flat key = value configuration format."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from densecoding import (
     ConfigError,
@@ -50,6 +51,15 @@ class TestParsing:
     def test_grid_from_start_stop_step(self):
         cfg = parse_config("t_start = 0.5\nt_stop = 1.0\nt_step = 0.25\n")
         assert cfg.time_grid == pytest.approx((0.5, 0.75, 1.0))
+
+    @given(st.floats(0.0, 1e6), st.floats(1e-6, 1e3), st.integers(1, 3000))
+    @example(0.0, 0.002, 1001)  # the sweep-dense range, 0 to 2
+    @settings(max_examples=100, deadline=None)
+    def test_range_points_are_start_plus_i_step(self, start, step, points):
+        stop = start + (points - 1) * step
+        grid = parse_config(f"t_start = {start!r}\nt_stop = {stop!r}\nt_step = {step!r}\n"
+                            ).time_grid
+        assert [t.hex() for t in grid] == [(start + i * step).hex() for i in range(len(grid))]
 
     def test_priors(self):
         cfg = parse_config("priors = 0.5, 0.25, 0.25\n")
@@ -123,12 +133,18 @@ class TestErrors:
          "line 2: key 't_step': 1e-300 gives too many points: inf > 10000000"),
         ("t_stop = 1e9\nt_step = 1e-9\n",
          "line 2: key 't_step': 1e-09 gives too many points: 1e+18 > 10000000"),
+        ("t_start = -1\n", "time grid values must be finite and non-negative"),
+        ("t_list = 0.5, -0.1\n", "time grid values must be finite and non-negative"),
+        ("t_list = 0.5, inf\n", "line 1: key 't_list': value must be finite, got 'inf'"),
+        # The last point, 3 * t_step, rounds past the largest float.
+        ("t_stop = 1.7976931348623157e308\nt_step = 5.992310449541053e+307\n",
+         "time grid values must be finite and non-negative"),
         ("scheme = FIVE_STATE\n",
          "line 1: key 'scheme': expected THREE_STATE or FOUR_STATE, got 'FIVE_STATE'"),
         ("noise_order = SOMETIMES\n", "line 1: key 'noise_order': expected "
          "NOISE_BEFORE_ENCODING or NOISE_AFTER_ENCODING, got 'SOMETIMES'"),
     ], ids=["k=nan", "s<0", "n_per_input=0", "seed<0", "t_stop<t_start", "t_step_overflow",
-            "t_step_above_cap",
+            "t_step_above_cap", "t_start<0", "t_list<0", "t_list=inf", "range_end=inf",
             "scheme", "noise_order"])
     def test_rejection_names_key_and_location(self, text, message):
         with pytest.raises(ConfigError) as info:

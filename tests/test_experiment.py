@@ -3,6 +3,7 @@
 import csv
 import functools
 import io
+import itertools
 import math
 from pathlib import Path
 from unittest import mock
@@ -533,11 +534,16 @@ class TestRunSweep:
         assert csv_a.splitlines()[1].endswith("THREE_STATE")
 
     def test_csv_text_is_csv_writer_of_17_digit_floats(self):
-        # The text the release before the array-written CSV produced.
+        # The text the release before the array-written CSV produced.  A
+        # concurrence that is not kappa_abs's nonzero value gets its own text.
         values = [(0.1, 1.0, 1 - 2.0**-53, 1e-300, -0.0, 0.0),
                   (2, math.inf, math.nan, 5e-324, 1.5849625007211561, 0.016)]
+        values += [(0.5, kappa, conc, 0.25, 0.5, 0.0) for kappa, conc in (
+            (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (math.nan, math.nan),
+            (0.25, math.nan), (math.nan, 0.25), (0.25, 0.25), (0.25, 0.25 + 2.0**-54),
+            (1e-300, 5e-324))]
         rows = [experiment.SweepRow(*v, scheme) for v, scheme in
-                zip(values, (SchemeVariant.THREE_STATE, SchemeVariant.FOUR_STATE))]
+                zip(values, itertools.cycle(SchemeVariant))]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["t_a", "kappa_abs", "concurrence", "mi_theory",
@@ -628,6 +634,20 @@ class TestBatchedSweep:
         # The spies see the route the oracle takes: one mask per sender frame.
         simulate_protocol(spec, DephasingTimes(0.5, 0.5), FOUR)
         assert density_matrix_calls == ["_born_tables", "_dephasing_masks", "_dephasing_masks"]
+
+    @pytest.mark.parametrize("order", list(NoiseOrder))
+    def test_two_characteristic_function_calls_per_block(self, monkeypatch, order):
+        # kappa, then both sector coherences from one call on stacked durations.
+        calls = []
+        for module in (experiment, protocol):
+            def counting(*args, _original=module._characteristic_function, **kwargs):
+                calls.append(args[1].shape)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "_characteristic_function", counting)
+        run_sweep(JointSpectrum(c_bb=2.0, k=-0.5), np.linspace(0.0, 2.0, 600), FOUR, 1000, 2,
+                  5, noise_order=order)
+        # two trials put 256 rows in a block
+        assert calls == [(256,), (2, 256)] * 2 + [(88,), (2, 88)]
 
     @pytest.mark.parametrize("m", [1, 255, 256, 257, 280])
     def test_prefix_of_grid_gives_prefix_of_rows(self, m):
