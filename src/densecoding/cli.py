@@ -8,6 +8,7 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -31,7 +32,7 @@ from .experiment import (
     reconstruct_linear_inversion,
 )
 from .protocol import mutual_information, simulate_protocol
-from .states import concurrence, density_matrix_to_text
+from .states import _concurrence, _matrix_text
 
 __all__ = ["main"]
 
@@ -139,11 +140,11 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     if len(counts) != 16:
         raise ValueError(f"{args.input_path}: expected 16 counts, got {len(counts)}")
     n = args.n_per_projector if args.n_per_projector is not None else cfg.n_per_input
-    rho = reconstruct_linear_inversion(counts, float(n))
-    sys.stdout.write(f"concurrence = {concurrence(rho):.17g}\n")
+    rho = reconstruct_linear_inversion(counts, float(n))  # the one validation of the state
+    sys.stdout.write(f"concurrence = {_concurrence(rho):.17g}\n")
     path = args.out or cfg.output_path
     if path:
-        Path(path).write_text(density_matrix_to_text(rho), encoding="utf-8")
+        Path(path).write_text(_matrix_text(rho), encoding="utf-8")
     return 0
 
 
@@ -178,14 +179,40 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 # One override flag per config key a command reads; --out sets the output path.
 _RUN_KEYS = tuple(key for key in CONFIG_DEFAULTS if key != "output_path")
+# Per command: its function, help line, override keys and own flags.  Both parsers read it.
 _COMMANDS = {
-    "sweep": (_cmd_sweep, "mutual-information sweep CSV over the time grid", _RUN_KEYS),
-    "mc": (_cmd_mc, "single-point Monte Carlo MI estimate with error bar", _RUN_KEYS),
+    "sweep": (_cmd_sweep, "mutual-information sweep CSV over the time grid", _RUN_KEYS, {}),
+    "mc": (_cmd_mc, "single-point Monte Carlo MI estimate with error bar", _RUN_KEYS, {
+        "--kappa-abs": dict(type=float, metavar="X",
+                            help="coherence magnitude of the shared state (overrides --t-a)"),
+        "--t-a": dict(type=float, metavar="T",
+                      help="noise duration; defaults to the last grid point")}),
     "fit": (_cmd_fit, "least-squares (k, s) fit from a CSV of points",
-            ("c_aa", "c_bb", "scheme", "noise_order", "priors")),
-    "tomo": (_cmd_tomo, "reconstruct a state from 16 projector counts", ()),
-    "show": (_cmd_show, "echo the resolved configuration and derived values", _RUN_KEYS),
+            ("c_aa", "c_bb", "scheme", "noise_order", "priors"), {
+        "--in": dict(dest="input_path", required=True, metavar="PATH",
+                     help="CSV of (kappa_abs, mi) points or a sweep CSV")}),
+    "tomo": (_cmd_tomo, "reconstruct a state from 16 projector counts", (), {
+        "--in": dict(dest="input_path", required=True, metavar="PATH",
+                     help="file with 16 counts (whitespace or comma separated)"),
+        "--n-per-projector": dict(type=int, metavar="N",
+                                  help="shots per projector; defaults to n_per_input")}),
+    "show": (_cmd_show, "echo the resolved configuration and derived values", _RUN_KEYS, {}),
 }
+
+
+def _add_flags(parser: argparse.ArgumentParser, name: str, named: set[str] | None = None) -> None:
+    """The command's flags in help order; of its override flags, only those in named, if given."""
+    func, _, keys, own = _COMMANDS[name]
+    parser.set_defaults(command=name, func=func)
+    parser.add_argument("--config", metavar="PATH", help="run configuration file")
+    parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if named is None or flag in named:
+            parser.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE",
+                                help=f"override config key {key}")
+    for flag, kwargs in own.items():
+        parser.add_argument(flag, **kwargs)
 
 
 def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
@@ -201,36 +228,39 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     # With one subparser built, the usage line of an error still lists all five.
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
     subs = parser.add_subparsers(dest="command", metavar=metavar)
-    for name, (func, help_text, keys) in commands.items():
-        sub = subs.add_parser(name, help=help_text, formatter_class=formatter, allow_abbrev=False)
-        sub.set_defaults(func=func)
-        sub.add_argument("--config", metavar="PATH", help="run configuration file")
-        sub.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-        for key in keys:
-            sub.add_argument("--" + key.replace("_", "-"), dest=f"cfg_{key}", metavar="VALUE",
-                             help=f"override config key {key}")
-        if name == "mc":
-            sub.add_argument("--kappa-abs", type=float, metavar="X",
-                             help="coherence magnitude of the shared state (overrides --t-a)")
-            sub.add_argument("--t-a", type=float, metavar="T",
-                             help="noise duration; defaults to the last grid point")
-        elif name == "fit":
-            sub.add_argument("--in", dest="input_path", required=True, metavar="PATH",
-                             help="CSV of (kappa_abs, mi) points or a sweep CSV")
-        elif name == "tomo":
-            sub.add_argument("--in", dest="input_path", required=True, metavar="PATH",
-                             help="file with 16 counts (whitespace or comma separated)")
-            sub.add_argument("--n-per-projector", type=int, metavar="N",
-                             help="shots per projector; defaults to n_per_input")
+    for name, (_, help_text, _, _) in commands.items():
+        _add_flags(subs.add_parser(name, help=help_text, formatter_class=formatter,
+                                   allow_abbrev=False), name)
     return parser
+
+
+class _RunParser(argparse.ArgumentParser):
+    """A command's parser with no help and only the override flags its argv names
+    (before any "="): with no abbreviations, no other flag can change how argv
+    parses.  It raises where argparse would print, and main then asks _build_parser."""
+
+    _metavar_check = argparse.HelpFormatter("densecoding", width=80)  # no terminal read
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+    def _get_formatter(self) -> argparse.HelpFormatter:  # add_argument's check of a metavar
+        return self._metavar_check
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv)
-    args = parser.parse_args(argv)
-    if args.command is None:  # checked here, not by argparse, so an unknown flag is named
-        parser.error("the following arguments are required: command")
+    args = None
+    if argv and argv[0] in _COMMANDS:
+        parser = _RunParser(prog="densecoding", add_help=False, allow_abbrev=False)
+        _add_flags(parser, argv[0], {arg.split("=", 1)[0] for arg in argv})
+        with contextlib.suppress(argparse.ArgumentError):  # a refusal leaves args None
+            args = parser.parse_args(argv[1:])
+    if args is None:
+        parser = _build_parser(argv)  # the only source of help, usage and error text
+        args = parser.parse_args(argv)
+        if args.command is None:  # checked here, not by argparse, so an unknown flag is named
+            parser.error("the following arguments are required: command")
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

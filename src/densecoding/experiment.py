@@ -245,9 +245,11 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
     is, reports k <= 0.  Priors that leave no Bell sector with two states of
     positive prior make the model constant in k, and raise ValueError.
     """
-    pts = np.array([(float(k), float(m)) for k, m in points]).reshape(-1, 2)
+    pts = np.array(list(points), dtype=float)
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points to fit, got {len(pts)}")
+    if pts.shape[1:] != (2,):
+        raise ValueError(f"points must be (kappa_abs, mi) pairs, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("kappa_abs and mi values must be finite")
     kappas, mis = pts.T

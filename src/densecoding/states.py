@@ -248,7 +248,12 @@ def concurrence(rho: np.ndarray) -> float:
     """Wootters entanglement monotone of a two-qubit state, in [0, 1]: max(0,
     l1 - l2 - l3 - l4) over the decreasingly ordered square roots of the
     eigenvalues of rho (Y x Y) rho* (Y x Y), from one ``eigh`` of rho."""
-    return float(_concurrences(*np.linalg.eigh(validate_density_matrix(rho, dim=4))))
+    return _concurrence(validate_density_matrix(rho, dim=4))
+
+
+def _concurrence(rho: np.ndarray) -> float:
+    """:func:`concurrence` of a state that is already validated."""
+    return float(_concurrences(*np.linalg.eigh(rho)))
 
 
 def _concurrences(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -291,11 +296,12 @@ def density_matrix_to_text(rho: np.ndarray) -> str:
     Four lines of four entries, each entry "re+imj" with 17 significant
     digits, rows and columns in (HH, HV, VH, VV) order.
     """
-    rho = validate_density_matrix(rho, dim=4)
-    lines = []
-    for row in rho:
-        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-    return "\n".join(lines) + "\n"
+    return _matrix_text(validate_density_matrix(rho, dim=4))
+
+
+def _matrix_text(rho: np.ndarray) -> str:
+    """:func:`density_matrix_to_text` of a state that is already validated."""
+    return "".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in rho)
 
 
 def density_matrix_from_text(text: str) -> np.ndarray:

@@ -1,33 +1,44 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import math
 import re
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import densecoding
 from densecoding import (
     BellLabel,
     DephasingTimes,
     EncodingScheme,
+    JointSpectrum,
     bell_state,
     closed_form_mi4,
+    concurrence,
     conditional_probabilities,
     decoherence_function,
     density_matrix_from_text,
+    density_matrix_to_text,
     effective_visibility,
+    evolve_pre_encoding,
     expected_tomography_counts,
     mutual_information,
     parse_config,
+    reconstruct_linear_inversion,
     run_sweep,
     simulate_protocol,
     sweep_rows_to_csv,
+    tomography_counts,
 )
+from densecoding import cli, experiment, states
 from densecoding.cli import _build_parser, main
 from densecoding.config import CONFIG_DEFAULTS
 
@@ -452,6 +463,28 @@ class TestTomo:
         rho = density_matrix_from_text(out.read_text())
         assert np.max(np.abs(rho - bell_state(BellLabel.PHI_PLUS))) < 1e-6
 
+    @pytest.mark.parametrize("t", [0.0, 0.8, 3.5])
+    def test_validates_the_state_once(self, t, tmp_path, monkeypatch, capsys):
+        counts = tomography_counts(evolve_pre_encoding(JointSpectrum(k=-0.5), t), 10000, seed=3)
+        rho = reconstruct_linear_inversion(counts, 10000.0)
+        # The bytes of the public, validating route.
+        expected = f"concurrence = {concurrence(rho):.17g}\n", density_matrix_to_text(rho)
+        path = tmp_path / "counts.txt"
+        path.write_text(" ".join(str(c) for c in counts.tolist()) + "\n")
+        calls = []
+
+        def counting(rho, dim=None):
+            calls.append(dim)
+            return validate(rho, dim)
+
+        validate = states.validate_density_matrix
+        for module in (states, experiment):  # every name the library calls it by
+            monkeypatch.setattr(module, "validate_density_matrix", counting)
+        out = tmp_path / "state.txt"
+        assert run_cli(["tomo", "--in", str(path), "--n-per-projector", "10000",
+                        "--out", str(out)], capsys) == (0, expected[0], "")
+        assert (calls, out.read_text()) == ([4], expected[1])
+
     def test_wrong_count_of_counts(self, tmp_path, capsys):
         path = tmp_path / "counts.txt"
         path.write_text("1 2 3\n")
@@ -611,12 +644,21 @@ class TestParser:
         assert args.command == argv[0]
         assert subparsers_built == argv[:1]
 
-    def test_main_reads_sys_argv_and_builds_one_subparser(self, subparsers_built, monkeypatch,
-                                                          capsys):
-        monkeypatch.setattr(sys, "argv", ["densecoding", "show"])
+    def test_main_reads_sys_argv_and_builds_no_subparser(self, subparsers_built, monkeypatch,
+                                                         capsys):
+        flags = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(container, *names, **kwargs):
+            flags.extend(names)
+            return add_argument(container, *names, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        monkeypatch.setattr(sys, "argv", ["densecoding", "show", "--seed", "3", "--k=-0.5"])
         assert main() == 0
         assert capsys.readouterr().out.startswith("omega0 = ")
-        assert subparsers_built == ["show"]
+        assert subparsers_built == []
+        assert sorted(flags) == ["--config", "--k", "--out", "--seed"]
 
     @pytest.mark.parametrize("argv", [["--help"], [], ["bogus"]], ids=["help", "none", "unknown"])
     def test_help_and_a_missing_or_unknown_command_build_all(self, argv, subparsers_built,
@@ -677,3 +719,80 @@ options:
 
 
 _TOP_USAGE = "usage: densecoding [-h] {sweep,mc,fit,tomo,show} ...\n"
+
+
+# Each command's flags besides --config and --out, the overrides first.
+_COMMAND_FLAGS = {"sweep": sorted(_RUN_FLAGS), "mc": sorted(_RUN_FLAGS) + ["--kappa-abs", "--t-a"],
+                  "fit": sorted(_FIT_FLAGS) + ["--in"], "tomo": ["--in", "--n-per-projector"],
+                  "show": sorted(_RUN_FLAGS)}
+_ALL_FLAGS = sorted({flag for flags in _COMMAND_FLAGS.values() for flag in flags}
+                    | {"--output-path", "--bogus"})
+_VALUES = ["1", "-1", "0.5", "-.5", "1e3", "nan", "x", "", " ", "-", "a=b", "FOUR_STATE",
+           "0.1, 0.2", "points.csv"]
+
+
+@st.composite
+def _argvs(draw, command):
+    """Random argv of command: pairs of a few of its flags and values, = forms and
+    repeats, and at most one odd token anywhere: a flag or a value that looks like
+    one, another command's or an unknown flag, an abbreviation or -h.  A flag left
+    without its value, by the odd token or at the end, is a missing value."""
+    few = draw(st.lists(st.sampled_from(["--config", "--out", *_COMMAND_FLAGS[command]]),
+                        min_size=1, max_size=3, unique=True))
+    flag, value = st.sampled_from(few), st.sampled_from(_VALUES)
+    abbreviation = st.builds(lambda f, n: f[:n], flag, st.integers(1, 12))
+
+    def pair(name, arg):  # "--flag value" or "--flag=value"
+        return st.tuples(name, arg) | st.tuples(st.builds("{}={}".format, name, arg))
+
+    pairs = draw(st.lists(pair(flag, value), max_size=4))
+    lone = st.sampled_from(_ALL_FLAGS + ["--", "-x", "-1x", "-h", "--help", "-hx", "--help=1"])
+    odd = draw(st.just(()) | pair(abbreviation, value) | pair(flag, flag) | st.tuples(flag | lone))
+    at = draw(st.integers(0, len(pairs)))
+    head = []
+    if "--in" in _COMMAND_FLAGS[command] and draw(st.booleans()):  # fit and tomo require it
+        head = ["--in", "points.csv"]
+    return [command, *head, *(arg for pair in pairs[:at] for arg in pair), *odd,
+            *(arg for pair in pairs[at:] for arg in pair)]
+
+
+class _Ran(Exception):
+    """Raised in place of a command's work once main has parsed its argv."""
+
+
+def _parsed_by_main(argv):
+    seen = []
+
+    def spy(args):
+        seen.append(args)
+        raise _Ran
+
+    with mock.patch.object(cli, "_load_config", spy):  # every _cmd_* calls it first
+        try:
+            main(argv)
+        except _Ran:
+            return seen[0]
+    raise AssertionError(f"main ran no command for {argv}")
+
+
+def _outcome(parse):
+    """("exit", code, stdout, stderr) of a parse that exits, else ("run", its values)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse()
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue(), err.getvalue()
+    # The run parser holds only the override flags argv names; main reads the rest as None.
+    return "run", {key: repr(value) for key, value in vars(args).items()
+                   if value is not None or not key.startswith("cfg_")}
+
+
+class TestRunParser:
+    @pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_main_parses_argv_as_the_full_parser(self, command, data):
+        argv = data.draw(_argvs(command), label="argv")
+        assert _outcome(lambda: _parsed_by_main(argv)) == _outcome(
+            lambda: _build_parser(argv).parse_args(argv))

@@ -241,6 +241,8 @@ class TestFit:
             fit_k_s([(0.0, 1.0), (0.5, 1.2)], THREE)
         with pytest.raises(ValueError):
             fit_k_s([(0.5, 1.0), (1.5, 1.2)], THREE)
+        with pytest.raises(ValueError, match=r"\(kappa_abs, mi\) pairs, got shape \(2, 3\)"):
+            fit_k_s([(0.5, 1.0, 0.1), (0.4, 0.9, 0.1)], THREE)
 
     @pytest.mark.parametrize("ratio", [0.0, -1.0, math.nan])
     def test_rejects_non_positive_variance_ratio(self, ratio):
