@@ -215,8 +215,8 @@ def _add_flags(parser: argparse.ArgumentParser, name: str, named: set[str] | Non
         parser.add_argument(flag, **kwargs)
 
 
-def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """Only the subparser argv[0] names; all five for --help, no command or an unknown one."""
+def _build_parser() -> argparse.ArgumentParser:
+    """All five subcommands with every flag: the parser of help, usage and error text."""
     # argparse makes a formatter per add_argument; each would read the terminal size.
     formatter = functools.partial(argparse.HelpFormatter,
                                   width=shutil.get_terminal_size().columns - 2)
@@ -224,11 +224,8 @@ def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="densecoding", formatter_class=formatter, allow_abbrev=False,
         description="Dense-coding simulator over correlated dephasing environments.")
-    commands = {argv[0]: _COMMANDS[argv[0]]} if argv and argv[0] in _COMMANDS else _COMMANDS
-    # With one subparser built, the usage line of an error still lists all five.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(commands) == 1 else None
-    subs = parser.add_subparsers(dest="command", metavar=metavar)
-    for name, (_, help_text, _, _) in commands.items():
+    subs = parser.add_subparsers(dest="command")
+    for name, (_, help_text, _, _) in _COMMANDS.items():
         _add_flags(subs.add_parser(name, help=help_text, formatter_class=formatter,
                                    allow_abbrev=False), name)
     return parser
@@ -257,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         with contextlib.suppress(argparse.ArgumentError):  # a refusal leaves args None
             args = parser.parse_args(argv[1:])
     if args is None:
-        parser = _build_parser(argv)  # the only source of help, usage and error text
+        parser = _build_parser()  # the only source of help, usage and error text
         args = parser.parse_args(argv)
         if args.command is None:  # checked here, not by argparse, so an unknown flag is named
             parser.error("the following arguments are required: command")

@@ -73,8 +73,9 @@ def _characteristic_function(spec: JointSpectrum, a, b, include_phase: bool = Tr
     ``a`` and ``b`` are finite scalars or arrays of one shape.  The
     deterministic mean-phase factor exp(i dn (a+b) omega0 / 2) is dropped when
     ``include_phase`` is false (phase-compensated convention).  An overflow
-    reads its limit, 0 or a coherence of modulus 1; the phase of the latter
-    has none if it overflows, and reads NaN.
+    reads its limit, 0 or a coherence of modulus 1.  A phase that overflows has
+    no value, so where it would make the coherence NaN, the coherence reads its
+    modulus, exp of the phase-free exponent, as a real number.
     """
     def exponent(u, v):
         # c_aa u^2 + c_bb v^2 + 2 k sqrt(c_aa c_bb) u v as a sum of two
@@ -90,7 +91,10 @@ def _characteristic_function(spec: JointSpectrum, a, b, include_phase: bool = Tr
             quad = np.where(np.isnan(quad), np.where(exponent(a, b) > 0.0, np.inf, 0.0), quad)
         z = np.asarray(-quad / 2.0, dtype=complex)  # 1j * inf would have a NaN real part
         z.imag = (u + v) * spec.omega0 / 2.0 if include_phase else 0.0
-        return np.exp(z)
+        kappa = np.exp(z)  # NaN only where the phase overflowed, to inf or NaN
+        if np.isnan(kappa).any():
+            kappa = np.where(np.isnan(kappa), np.exp(-quad / 2.0), kappa)
+        return kappa
 
 
 def decoherence_function(spec: JointSpectrum, t_a: float) -> complex:

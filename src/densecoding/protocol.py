@@ -6,9 +6,9 @@ distribution is a two-point mixture with one visibility per sector, and
 ``_sector_mi`` gives the MI of any prior from the two.  At equal stage times,
 with r = c_bb / c_aa, the Phi sector keeps ``kappa_abs ** (1 + r + 2 k sqrt(r))``;
 so does the Psi sector with the noise before the encoding, and
-``kappa_abs ** (1 + r - 2 k sqrt(r))`` after it.  ``_mi_curve`` is the MI of
-every regime, the closed forms its uniform, r = 1, noise-before-encoding case.
-The density-matrix route :func:`simulate_protocol` is the theory of record.
+``kappa_abs ** (1 + r - 2 k sqrt(r))`` after it (all in ``_sector_visibilities``).
+``_mi_curve`` is the MI of every regime; the closed forms are its uniform, r = 1,
+noise-before-encoding case, bit for bit.  :func:`simulate_protocol` is the theory of record.
 """
 
 from __future__ import annotations
@@ -142,6 +142,19 @@ def _checked_probabilities(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _sector_visibilities(kappa_abs, k, variance_ratio: float = 1.0,
+                         noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING):
+    """(m_phi, m_psi) of broadcastable kappa_abs in (0, 1] and k (see above), m_psi
+    being m_phi itself before the encoding; no exponent is negative for |k| <= 1, as
+    fl(1 + r) >= 2 fl(sqrt(r)).  Not ``**``: numpy's pow takes another kernel for one
+    or two k rows than for more, so a row's last bit would move with its neighbours."""
+    root, log_kappa = math.sqrt(variance_ratio), np.log(kappa_abs)
+    m_phi = np.exp((1.0 + variance_ratio + 2.0 * root * k) * log_kappa)
+    if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING:
+        return m_phi, m_phi
+    return m_phi, np.exp((1.0 + variance_ratio - 2.0 * root * k) * log_kappa)
+
+
 def effective_visibility(kappa_abs: float, k: float) -> float:
     """Coherence magnitude kappa_abs ** (2 (1 + k)) surviving both noise stages.
 
@@ -158,7 +171,7 @@ def effective_visibility(kappa_abs: float, k: float) -> float:
             "effective_visibility(0, -1) is doubly degenerate; returning the "
             "k = -1 limit value 1", stacklevel=2)
         return 1.0
-    return kappa_abs ** (2.0 * (1.0 + k))
+    return float(_sector_visibilities(kappa_abs, k)[0]) if kappa_abs > 0.0 else 0.0  # no log 0
 
 
 def conditional_probabilities(scheme: EncodingScheme, m: float) -> ConditionalTable:
@@ -280,8 +293,8 @@ def closed_form_mi(variant: SchemeVariant, kappa_abs: float, k: float,
     """Closed-form mutual information in bits of the variant's uniform
     alphabet, minus the offset s, at visibility x = kappa_abs ** (2 + 2k).
 
-    The r = c_bb / c_aa = 1, noise-before-encoding form; for other regimes
-    or priors use :func:`simulate_protocol`, or ``fit_k_s`` to fit.
+    The r = c_bb / c_aa = 1, noise-before-encoding case of ``_mi_curve``, bit for
+    bit; for other regimes or priors use :func:`simulate_protocol` or ``fit_k_s``.
     """
     if not s >= 0:
         raise ValueError(f"s must be non-negative, got {s}")
@@ -301,19 +314,9 @@ def closed_form_mi4(kappa_abs: float, k: float, s: float = 0.0) -> float:
 
 def _mi_curve(kappa_abs, k, scheme: EncodingScheme, variance_ratio: float = 1.0,
               noise_order: NoiseOrder = NoiseOrder.NOISE_BEFORE_ENCODING):
-    """The scheme's MI in bits, no offset, at equal stage times for broadcastable
-    kappa_abs in (0, 1] and k, the ratio r = c_bb / c_aa and the noise order
-    (see above).  For |k| <= 1 no exponent is negative: fl(1 + r) >= 2 fl(sqrt(r)).
-
-    A visibility is exp(exponent * log kappa_abs), not ``**``: numpy's pow
-    takes another kernel for one or two k rows than for more, and a k row's
-    last bit would depend on the rows evaluated with it."""
-    root = math.sqrt(variance_ratio)
-    log_kappa = np.log(kappa_abs)
-    m_phi = np.exp((1.0 + variance_ratio + 2.0 * root * k) * log_kappa)
-    m_psi = (m_phi if noise_order is NoiseOrder.NOISE_BEFORE_ENCODING
-             else np.exp((1.0 + variance_ratio - 2.0 * root * k) * log_kappa))
-    return _sector_mi(scheme.priors, m_phi, m_psi)
+    """The scheme's MI in bits, no offset, at ``_sector_visibilities(kappa_abs, k, ...)``."""
+    return _sector_mi(scheme.priors,
+                      *_sector_visibilities(kappa_abs, k, variance_ratio, noise_order))
 
 
 _PROJECTORS = np.array([bell_state(y) for y in BELL_OUTPUT_ORDER])

@@ -79,6 +79,17 @@ class TestDecoherenceFunction:
         oracle = phase_average_quadrature(spec, spec.delta_n * t, 0.0)
         assert decoherence_function(spec, t) == pytest.approx(oracle, abs=1e-8)
 
+    @pytest.mark.parametrize("omega0, c_aa, t", [
+        (-1.5e308, 7.3, 8.86), (1e10, 1.9e-310, 1.7e308), (1e308, 1e-300, 4.0)])
+    def test_overflowing_phase_reads_the_modulus(self, omega0, c_aa, t):
+        # t omega0 / 2 overflows: |kappa| is about 3.7e-125, 0 and 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = decoherence_function(JointSpectrum(omega0=omega0, c_aa=c_aa), t)
+        modulus = math.exp(-c_aa * t * t / 2.0)
+        assert value == decoherence_function(JointSpectrum(omega0=0.0, c_aa=c_aa), t)
+        assert value.imag == 0.0 and value.real == pytest.approx(modulus, rel=1e-12)
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             decoherence_function(JointSpectrum(), -0.5)

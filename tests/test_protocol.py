@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from densecoding import (
     BELL_OUTPUT_ORDER,
@@ -109,7 +109,9 @@ class TestEffectiveVisibility:
             assert effective_visibility(0.0, -1.0) == 1.0
 
     def test_zero_coherence_markovian(self):
-        assert effective_visibility(0.0, 0.0) == 0.0
+        # Also at k != 0, with no RuntimeWarning (log 0), which would be an error here.
+        for k in (0.0, -0.999, 1.0):
+            assert effective_visibility(0.0, k) == 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -487,7 +489,19 @@ class TestMiCurve:
         x = np.exp((2.0 + 2.0 * ks) * np.log(kappas))
         np.testing.assert_array_equal(curve, _sector_mi(scheme.priors, x, x))
         closed = [[closed_form_mi(variant, x, k) for x in row] for row, k in zip(kappas, ks[:, 0])]
-        np.testing.assert_allclose(curve, closed, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(curve, closed)
+
+    @given(st.floats(0.0, 1.0, exclude_min=True), st.floats(-1.0, 1.0), st.floats(0.0, 2.0),
+           st.sampled_from(list(SchemeVariant)))
+    @example(5e-324, -0.5, 0.0, SchemeVariant.THREE_STATE)
+    @example(5e-324, 1.0, 0.1, SchemeVariant.FOUR_STATE)
+    @example(1.0, 0.3, 0.0, SchemeVariant.FOUR_STATE)
+    @example(1.0, -1.0, 0.2, SchemeVariant.THREE_STATE)
+    @settings(max_examples=500, deadline=None)
+    def test_closed_forms_are_the_curve_at_equal_variances_bit_for_bit(self, kappa, k, s,
+                                                                       variant):
+        curve = float(_mi_curve(kappa, k, EncodingScheme(variant)))
+        assert closed_form_mi(variant, kappa, k, s) == max(0.0, curve - s)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SchemeVariant)),
            st.sampled_from(list(NoiseOrder)))
