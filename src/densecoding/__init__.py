@@ -7,17 +7,16 @@ bars, least-squares parameter fits and linear-inversion tomography.
 
 Importing the package loads no submodule and so no numpy (PEP 562).  A
 public name, declared once in its module's ``__all__``, imports the library
-modules in dependency order up to the first that declares it, so an
-experiment name also loads config.  ``dir()`` and ``__all__`` load all five.
+modules in dependency order up to the first that declares it; a ``config``
+name loads no numpy.  ``dir()`` and ``__all__`` load all five.
 """
 
 import importlib
-import os
 
 __version__ = "0.1.0"
 
 # Dependency order: each module imports only modules before it.
-_LIBRARY = ("states", "environment", "protocol", "config", "experiment")
+_LIBRARY = ("config", "states", "environment", "protocol", "experiment")
 
 
 def __getattr__(name: str):
@@ -39,26 +38,8 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | {*_LIBRARY, "cli"} | set(__getattr__("__all__")))
 
 
-def _use_one_blas_thread() -> None:
-    """Default every BLAS thread pool to one thread; a count the user set wins.
-
-    Only command-line entry points call this, before numpy is first
-    imported: BLAS reads these variables once, when numpy loads it.  The
-    package factors only 4 x 4 stacks, which BLAS never splits over threads,
-    so extra threads only spin.
-    """
-    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(variable, "1")
-
-
 def main() -> int:
     """Entry point of the installed ``densecoding`` script."""
-    import gc  # here: a library import of the package loads nothing new
+    from .cli import _process_main
 
-    _use_one_blas_thread()
-    from .cli import main as cli_main
-
-    # Frozen, the import-time heap is never walked again by a collection, in
-    # the run or at exit; reference counting still frees it.
-    gc.freeze()
-    return cli_main()
+    return _process_main()

@@ -9,30 +9,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
+import gc
 import math
+import os
 import shutil
 import sys
 from pathlib import Path
 
-if __name__ == "__main__":  # ``python -m densecoding.cli``; before numpy loads below
-    from . import _use_one_blas_thread
-
-    _use_one_blas_thread()
-
+# Each command imports the modules it computes with: help and usage errors load no numpy.
 from .config import CONFIG_DEFAULTS, ConfigError, RunConfig, build_config, tokenize_config
-from .environment import DephasingTimes, decoherence_function
-from .experiment import (
-    _sweep_csv,
-    _sweep_values,
-    estimate_mi_with_errors,
-    fit_k_s,
-    fit_result_to_csv,
-    reconstruct_linear_inversion,
-)
-from .protocol import mutual_information, simulate_protocol
-from .states import _concurrence, _matrix_text
 
 __all__ = ["main"]
 
@@ -56,6 +42,8 @@ def _emit(text: str, args: argparse.Namespace, cfg: RunConfig) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiment import _sweep_csv, _sweep_values
+
     cfg = _load_config(args)
     # The run_sweep columns, written from the stacked array: no SweepRow per row.
     values = _sweep_values(cfg.spectrum, cfg.time_grid, cfg.scheme, cfg.n_per_input,
@@ -65,6 +53,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
+    from .environment import DephasingTimes, decoherence_function
+    from .experiment import estimate_mi_with_errors
+    from .protocol import mutual_information, simulate_protocol
+
     cfg = _load_config(args)
     spec = cfg.spectrum
     if args.kappa_abs is not None:
@@ -94,6 +86,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 def _read_fit_points(path: str) -> list[tuple[float, float]]:
     """Accept either a sweep CSV (kappa_abs / mi_mc_mean columns) or bare
     (kappa_abs, mi) rows with an optional header."""
+    import csv
+
     rows = list(csv.reader(Path(path).read_text(encoding="utf-8").splitlines()))
     rows = [r for r in rows if r]
     if not rows:
@@ -121,6 +115,8 @@ def _read_fit_points(path: str) -> list[tuple[float, float]]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .experiment import fit_k_s, fit_result_to_csv
+
     cfg = _load_config(args)
     points = _read_fit_points(args.input_path)
     spec = cfg.spectrum
@@ -130,6 +126,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
+    from .states import _concurrence, _matrix_text, reconstruct_linear_inversion
+
     cfg = _load_config(args)
     text = Path(args.input_path).read_text(encoding="utf-8")
     tokens = text.replace(",", " ").split()
@@ -149,6 +147,9 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
+    from .environment import DephasingTimes, decoherence_function
+    from .protocol import mutual_information, simulate_protocol
+
     cfg = _load_config(args)
     spec = cfg.spectrum
     lines = [
@@ -265,8 +266,25 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    import gc
+def _use_one_blas_thread() -> None:
+    """Default every BLAS thread pool to one thread; a count the user set wins.
+    BLAS reads these variables once, when numpy loads it.  The package factors
+    only 4 x 4 stacks, which BLAS never splits over threads: extra threads spin."""
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(variable, "1")
 
-    gc.freeze()  # see densecoding.main
-    raise SystemExit(main())
+
+def _process_main() -> int:
+    """:func:`main` as the whole of a process (the ``densecoding`` script or
+    ``python -m densecoding.cli``).  The heap is frozen before the command and
+    again after it, with numpy and what else it imported: a frozen object is never
+    walked again by a collection, in the run or at exit; refcounting still frees it."""
+    _use_one_blas_thread()
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    return code
+
+
+if __name__ == "__main__":
+    raise SystemExit(_process_main())

@@ -1,20 +1,198 @@
-"""Flat key = value run configuration shared by all command-line entry points.
+"""A run's parameters: the records every module takes, and the flat key = value
+configuration that sets them.  Loads no numpy, so the command line can parse,
+print help and refuse input without it.
 
-One pair per line, ``#`` starts a comment, keys are case-sensitive and
-every unset key takes a documented default.  The time grid is given either
-as ``t_start``/``t_stop``/``t_step`` or as an explicit comma list
-``t_list`` (the explicit list wins when both are present).
+One pair per line, ``#`` starts a comment, keys are case-sensitive and every
+unset key takes a documented default.  The time grid is given either as
+``t_start``/``t_stop``/``t_step`` or as an explicit comma list ``t_list`` (the
+explicit list wins when both are present).
 """
 
 from __future__ import annotations
 
+import enum
+import inspect
 import math
 
-from .environment import JointSpectrum
-from .protocol import EncodingScheme, NoiseOrder, SchemeVariant
-from .states import _frozen_record
+__all__ = [
+    "BELL_OUTPUT_ORDER",
+    "BellLabel",
+    "ConfigError",
+    "EncodingScheme",
+    "JointSpectrum",
+    "NoiseOrder",
+    "RunConfig",
+    "SchemeVariant",
+    "parse_config",
+]
 
-__all__ = ["ConfigError", "RunConfig", "parse_config"]
+
+def _frozen_record(cls: type) -> type:
+    """Make ``cls`` an immutable value class over its annotated fields.
+
+    It gets the shared, already compiled methods below rather than ones
+    written and compiled per class at import: ``__init__`` binds arguments
+    to the fields in order, class-level values being defaults, through
+    ``__signature__`` unless every field is given in order (by position, then
+    by keyword), then calls the class's ``__post_init__`` if it has one;
+    equality, hashing and repr work over the field values; assignment and
+    deletion raise ``AttributeError``.
+    """
+    annotations = vars(cls)["__annotations__"]
+    cls.__match_args__ = tuple(annotations)
+    cls.__signature__ = inspect.Signature([
+        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=annotation,
+                          default=vars(cls).get(name, inspect.Parameter.empty))
+        for name, annotation in annotations.items()], return_annotation=None)
+    cls.__init__ = _record_init
+    cls.__eq__ = _record_eq
+    cls.__hash__ = _record_hash
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    return cls
+
+
+def _record_init(self, *args, **kwargs) -> None:
+    cls = type(self)
+    fields = cls.__match_args__
+    if kwargs and tuple(kwargs) == fields[len(args):]:
+        args += tuple(kwargs.values())
+    elif kwargs or len(args) != len(fields):
+        try:
+            bound = cls.__signature__.bind(*args, **kwargs)
+        except TypeError as exc:
+            raise TypeError(f"{cls.__qualname__}() {exc}") from None
+        bound.apply_defaults()
+        args = bound.args
+    vars(self).update(zip(fields, args))
+    post_init = getattr(cls, "__post_init__", None)
+    if post_init is not None:
+        post_init(self)
+
+
+def _record_values(self) -> tuple:
+    return tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _record_eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _record_values(self) == _record_values(other)
+
+
+def _record_hash(self) -> int:
+    return hash(_record_values(self))
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _record_setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BellLabel(enum.Enum):
+    """The four maximally entangled two-qubit states."""
+
+    PHI_PLUS = "PHI_PLUS"
+    PHI_MINUS = "PHI_MINUS"
+    PSI_PLUS = "PSI_PLUS"
+    PSI_MINUS = "PSI_MINUS"
+
+
+_ROW_SUM_TOL = 1e-12
+
+#: Fixed ordering of measurement outcomes in every conditional table.
+BELL_OUTPUT_ORDER = (
+    BellLabel.PHI_PLUS,
+    BellLabel.PHI_MINUS,
+    BellLabel.PSI_PLUS,
+    BellLabel.PSI_MINUS,
+)
+
+
+class SchemeVariant(enum.Enum):
+    THREE_STATE = "THREE_STATE"
+    FOUR_STATE = "FOUR_STATE"
+
+
+class NoiseOrder(enum.Enum):
+    NOISE_BEFORE_ENCODING = "NOISE_BEFORE_ENCODING"
+    NOISE_AFTER_ENCODING = "NOISE_AFTER_ENCODING"
+
+
+_ALPHABETS = {
+    SchemeVariant.THREE_STATE: (
+        BellLabel.PHI_PLUS, BellLabel.PHI_MINUS, BellLabel.PSI_PLUS),
+    SchemeVariant.FOUR_STATE: BELL_OUTPUT_ORDER,
+}
+
+
+@_frozen_record
+class EncodingScheme:
+    """Alphabet of encoded Bell states with a prior distribution."""
+
+    variant: SchemeVariant
+    priors: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        n = len(_ALPHABETS[self.variant])
+        priors = self.priors if self.priors else tuple([1.0 / n] * n)
+        if len(priors) != n:
+            raise ValueError(f"{self.variant.value} needs {n} priors, got {len(priors)}")
+        if not all(math.isfinite(p) and p >= 0 for p in priors):
+            raise ValueError(f"priors must be finite and non-negative, got {priors}")
+        if abs(sum(priors) - 1.0) > _ROW_SUM_TOL:
+            raise ValueError(f"priors must sum to 1, got {sum(priors)!r}")
+        object.__setattr__(self, "priors", tuple(float(p) for p in priors))
+
+    @property
+    def alphabet(self) -> tuple[BellLabel, ...]:
+        return _ALPHABETS[self.variant]
+
+    @classmethod
+    def three_state(cls, priors: tuple[float, ...] = ()) -> EncodingScheme:
+        return cls(SchemeVariant.THREE_STATE, priors)
+
+    @classmethod
+    def four_state(cls, priors: tuple[float, ...] = ()) -> EncodingScheme:
+        return cls(SchemeVariant.FOUR_STATE, priors)
+
+
+@_frozen_record
+class JointSpectrum:
+    """Second moments of the joint two-photon frequency distribution.
+
+    Both marginals have mean ``omega0 / 2``; ``c_aa`` and ``c_bb`` are the
+    marginal variances, ``k`` the correlation coefficient and ``delta_n``
+    the birefringence difference that couples polarization to frequency.
+    """
+
+    omega0: float = 2.0
+    c_aa: float = 1.0
+    c_bb: float = 1.0
+    k: float = -1.0
+    delta_n: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.c_aa) and self.c_aa > 0):
+            raise ValueError(f"c_aa must be positive, got {self.c_aa}")
+        if not (math.isfinite(self.c_bb) and self.c_bb > 0):
+            raise ValueError(f"c_bb must be positive, got {self.c_bb}")
+        if not (math.isfinite(self.k) and -1.0 <= self.k <= 1.0):
+            raise ValueError(f"k must lie in [-1, 1], got {self.k}")
+        if not math.isfinite(self.omega0):
+            raise ValueError(f"omega0 must be finite, got {self.omega0}")
+        if not math.isfinite(self.delta_n):
+            raise ValueError(f"delta_n must be finite, got {self.delta_n}")
+
 
 CONFIG_DEFAULTS = {
     "omega0": "2",

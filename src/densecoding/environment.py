@@ -13,44 +13,16 @@ import math
 
 import numpy as np
 
-from .states import BellLabel, _frozen_record, bell_state
+from .config import BellLabel, JointSpectrum, _frozen_record
+from .states import bell_state
 
 __all__ = [
     "DephasingTimes",
-    "JointSpectrum",
     "decoherence_function",
     "dephasing_mask",
     "evolve_pre_encoding",
     "non_markovianity",
 ]
-
-
-@_frozen_record
-class JointSpectrum:
-    """Second moments of the joint two-photon frequency distribution.
-
-    Both marginals have mean ``omega0 / 2``; ``c_aa`` and ``c_bb`` are the
-    marginal variances, ``k`` the correlation coefficient and ``delta_n``
-    the birefringence difference that couples polarization to frequency.
-    """
-
-    omega0: float = 2.0
-    c_aa: float = 1.0
-    c_bb: float = 1.0
-    k: float = -1.0
-    delta_n: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_aa) and self.c_aa > 0):
-            raise ValueError(f"c_aa must be positive, got {self.c_aa}")
-        if not (math.isfinite(self.c_bb) and self.c_bb > 0):
-            raise ValueError(f"c_bb must be positive, got {self.c_bb}")
-        if not (math.isfinite(self.k) and -1.0 <= self.k <= 1.0):
-            raise ValueError(f"k must lie in [-1, 1], got {self.k}")
-        if not math.isfinite(self.omega0):
-            raise ValueError(f"omega0 must be finite, got {self.omega0}")
-        if not math.isfinite(self.delta_n):
-            raise ValueError(f"delta_n must be finite, got {self.delta_n}")
 
 
 @_frozen_record

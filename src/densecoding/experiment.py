@@ -1,4 +1,4 @@
-"""Counting statistics, least-squares fitting, tomography and noise sweeps.
+"""Counting statistics, least-squares fitting and noise sweeps.
 
 Everything random is driven by explicit integer seeds through
 ``numpy.random.default_rng``.  A bootstrap draws all its trials from one
@@ -10,37 +10,27 @@ moves no byte, but a row's bootstrap depends on the rows before it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
-from .environment import JointSpectrum, _characteristic_function
-from .protocol import (
-    ConditionalTable,
-    EncodingScheme,
-    NoiseOrder,
-    SchemeVariant,
-    _checked_probabilities,
-    _mi_bits,
-    _mi_curve,
-    _sector_tables,
-)
-from .states import BellLabel, _frozen_record, validate_density_matrix
+from .config import (BellLabel, EncodingScheme, JointSpectrum, NoiseOrder, SchemeVariant,
+                     _frozen_record)
+from .environment import _characteristic_function
+from .protocol import ConditionalTable, _checked_probabilities, _mi_bits, _mi_curve, _sector_tables
+from .states import (TOMOGRAPHY_SETTINGS, expected_tomography_counts,  # noqa: F401 (old path)
+                     reconstruct_linear_inversion, tomography_counts)
 
 __all__ = [
     "CountTable",
     "FitResult",
     "SweepRow",
     "estimate_mi_with_errors",
-    "expected_tomography_counts",
     "fit_k_s",
     "fit_result_to_csv",
-    "reconstruct_linear_inversion",
     "run_sweep",
     "sample_counts",
     "sweep_rows_to_csv",
-    "tomography_counts",
 ]
 
 
@@ -253,6 +243,9 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
     if not np.all(np.isfinite(pts)):
         raise ValueError("kappa_abs and mi values must be finite")
     kappas, mis = pts.T
+    with np.errstate(over="ignore"):  # the bound B of _screened_offsets on every RSS
+        if not np.isfinite(np.sum((2.0 + np.abs(mis)) ** 2)):
+            raise ValueError("mi values too large: the sum of (2 + |mi|)^2 overflows")
     if np.any(kappas <= 0.0) or np.any(kappas > 1.0):
         raise ValueError("kappa_abs values must lie in (0, 1]")
     if not (math.isfinite(variance_ratio) and variance_ratio > 0.0):
@@ -281,83 +274,6 @@ def fit_k_s(points, scheme: EncodingScheme, variance_ratio: float = 1.0,
         n_hat *= 10
 
     return FitResult(float(k_grid[best]), float(offsets[best]), float(rss[best]), kappas.size)
-
-
-# --- linear-inversion tomography -------------------------------------------
-
-_KETS = {
-    "H": np.array([1.0, 0.0], dtype=complex),
-    "V": np.array([0.0, 1.0], dtype=complex),
-    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "L": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-}
-
-#: The sixteen product settings (Alice ket, Bob ket), row-major in Alice.
-TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
-
-
-# Design matrix of the linear state-to-frequency map: row i is the transpose
-# of the projector |a b><a b| of setting i, flattened, so that
-# A @ rho.flatten() gives Tr(P_i rho); the products are np.kron's, broadcast.
-_KET_PAIRS = np.array([(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS])
-_SETTING_KETS = (_KET_PAIRS[:, 0, :, None] * _KET_PAIRS[:, 1, None, :]).reshape(16, 4)
-_DESIGN = (_SETTING_KETS.conj()[:, :, None] * _SETTING_KETS[:, None, :]).reshape(16, 16)
-assert np.linalg.matrix_rank(_DESIGN) == 16, "tomography design matrix is singular"
-_DESIGN_INV = np.linalg.inv(_DESIGN)
-_DESIGN.setflags(write=False)
-_DESIGN_INV.setflags(write=False)
-
-
-def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.ndarray:
-    """Noise-free expected counts n * <P_i> for the sixteen settings."""
-    if not (math.isfinite(n_per_projector) and n_per_projector > 0.0):
-        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
-    rho = validate_density_matrix(rho, dim=4)
-    # An einsum, not ``@``: a BLAS gemv may sum in another order and move the last bits.
-    probs = np.einsum("pk,k->p", _DESIGN, rho.reshape(16)).real
-    return n_per_projector * np.clip(probs, 0.0, 1.0)
-
-
-def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.ndarray:
-    """Binomially sampled counts for the sixteen projective settings."""
-    if not (1 <= n_per_projector <= 2**63 - 1 and n_per_projector % 1 == 0):
-        raise ValueError(f"n_per_projector must be a positive integer < 2**63, got {n_per_projector}")
-    probs = expected_tomography_counts(rho, 1.0)
-    rng = np.random.default_rng(seed)
-    return rng.binomial(n_per_projector, probs)
-
-
-def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
-    """Density matrix from sixteen projector counts by linear inversion.
-
-    The raw inverse is Hermitized, projected onto the positive cone
-    (negative eigenvalues from finite statistics are clamped to zero) and
-    trace-normalized.  On exact expected counts this is the identity map.
-    """
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (16,):
-        raise ValueError(f"expected 16 counts, got shape {counts.shape}")
-    if not np.all(np.isfinite(counts) & (counts >= 0.0)):
-        raise ValueError(f"counts must be finite and non-negative, got {counts}")
-    n = float(n_per_projector)
-    if not (math.isfinite(n) and n > 0.0):
-        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
-    vals, vecs = _reconstruct(counts / n)
-    return validate_density_matrix((vecs * vals) @ vecs.conj().T, dim=4)
-
-
-def _reconstruct(freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unvalidated linear inversion of frequencies (..., 16) as eigenpairs (..., 4),
-    (..., 4, 4) of the states: one ``eigh`` of the Hermitized inverse projects it
-    on the positive cone (clip at 0, divide by the sum) and feeds ``_concurrences``."""
-    rho = (_DESIGN_INV @ freq[..., None]).reshape(freq.shape[:-1] + (4, 4))
-    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
-        raise ValueError("reconstruction gives a zero state; counts unusable")
-    return vals / total, vecs
 
 
 # Bootstrap count tables (rows x trials) per block of stacked rows, so 256

@@ -1,4 +1,4 @@
-"""Encoding schemes, Bell-measurement statistics and capacity formulas.
+"""Bell-measurement statistics and capacity formulas of the encoding schemes.
 
 The dephasing channel couples each encoded Bell state only to its partner
 within the same sector (Phi+ <-> Phi-, Psi+ <-> Psi-), so every conditional
@@ -13,22 +13,19 @@ noise-before-encoding case, bit for bit.  :func:`simulate_protocol` is the theor
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 
 import numpy as np
 
-from .environment import DephasingTimes, JointSpectrum, _characteristic_function, _dephasing_masks
-from .states import BellLabel, _frozen_record, _xlogy, bell_state, binary_entropy
+from .config import (_ROW_SUM_TOL, BELL_OUTPUT_ORDER, BellLabel, EncodingScheme, JointSpectrum,
+                     NoiseOrder, SchemeVariant, _frozen_record)
+from .environment import DephasingTimes, _characteristic_function, _dephasing_masks
+from .states import _xlogy, bell_state, binary_entropy
 
 __all__ = [
-    "BELL_OUTPUT_ORDER",
     "ConditionalTable",
-    "EncodingScheme",
-    "NoiseOrder",
     "SECTOR_PARTNER",
-    "SchemeVariant",
     "capacity_bob_noise",
     "capacity_from_non_markovianity",
     "capacity_pre_encoding",
@@ -41,16 +38,6 @@ __all__ = [
     "simulate_protocol",
 ]
 
-_ROW_SUM_TOL = 1e-12
-
-#: Fixed ordering of measurement outcomes in every conditional table.
-BELL_OUTPUT_ORDER = (
-    BellLabel.PHI_PLUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PSI_PLUS,
-    BellLabel.PSI_MINUS,
-)
-
 #: Coherence partner of each Bell state under the dephasing channel.
 SECTOR_PARTNER = {
     BellLabel.PHI_PLUS: BellLabel.PHI_MINUS,
@@ -59,54 +46,6 @@ SECTOR_PARTNER = {
     BellLabel.PSI_MINUS: BellLabel.PSI_PLUS,
 }
 _PSI_SECTOR = (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
-
-
-class SchemeVariant(enum.Enum):
-    THREE_STATE = "THREE_STATE"
-    FOUR_STATE = "FOUR_STATE"
-
-
-class NoiseOrder(enum.Enum):
-    NOISE_BEFORE_ENCODING = "NOISE_BEFORE_ENCODING"
-    NOISE_AFTER_ENCODING = "NOISE_AFTER_ENCODING"
-
-
-_ALPHABETS = {
-    SchemeVariant.THREE_STATE: (
-        BellLabel.PHI_PLUS, BellLabel.PHI_MINUS, BellLabel.PSI_PLUS),
-    SchemeVariant.FOUR_STATE: BELL_OUTPUT_ORDER,
-}
-
-
-@_frozen_record
-class EncodingScheme:
-    """Alphabet of encoded Bell states with a prior distribution."""
-
-    variant: SchemeVariant
-    priors: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        n = len(_ALPHABETS[self.variant])
-        priors = self.priors if self.priors else tuple([1.0 / n] * n)
-        if len(priors) != n:
-            raise ValueError(f"{self.variant.value} needs {n} priors, got {len(priors)}")
-        if not all(math.isfinite(p) and p >= 0 for p in priors):
-            raise ValueError(f"priors must be finite and non-negative, got {priors}")
-        if abs(sum(priors) - 1.0) > _ROW_SUM_TOL:
-            raise ValueError(f"priors must sum to 1, got {sum(priors)!r}")
-        object.__setattr__(self, "priors", tuple(float(p) for p in priors))
-
-    @property
-    def alphabet(self) -> tuple[BellLabel, ...]:
-        return _ALPHABETS[self.variant]
-
-    @classmethod
-    def three_state(cls, priors: tuple[float, ...] = ()) -> EncodingScheme:
-        return cls(SchemeVariant.THREE_STATE, priors)
-
-    @classmethod
-    def four_state(cls, priors: tuple[float, ...] = ()) -> EncodingScheme:
-        return cls(SchemeVariant.FOUR_STATE, priors)
 
 
 @_frozen_record

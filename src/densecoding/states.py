@@ -1,4 +1,5 @@
-"""Two-qubit polarization states and the information measures built on them.
+"""Two-qubit polarization states, the information measures built on them,
+and their sixteen-setting linear-inversion tomography.
 
 Density matrices are plain complex ndarrays in the fixed product basis
 (HH, HV, VH, VV).  All entropies and capacities are in bits.
@@ -7,12 +8,14 @@ Density matrices are plain complex ndarrays in the fixed product basis
 from __future__ import annotations
 
 import enum
-import inspect
+import itertools
+import math
 
 import numpy as np
 
+from .config import BellLabel
+
 __all__ = [
-    "BellLabel",
     "InvariantViolation",
     "PAULI_FOR_BELL",
     "Party",
@@ -24,8 +27,11 @@ __all__ = [
     "dense_coding_capacity",
     "density_matrix_from_text",
     "density_matrix_to_text",
+    "expected_tomography_counts",
     "fidelity",
     "partial_trace",
+    "reconstruct_linear_inversion",
+    "tomography_counts",
     "validate_density_matrix",
     "von_neumann_entropy",
 ]
@@ -39,91 +45,11 @@ class InvariantViolation(ValueError):
     """Raised when a matrix fails the density-matrix checks."""
 
 
-def _frozen_record(cls: type) -> type:
-    """Make ``cls`` an immutable value class over its annotated fields.
-
-    It gets the shared, already compiled methods below rather than ones
-    written and compiled per class at import: ``__init__`` binds arguments
-    to the fields in order, class-level values being defaults, through
-    ``__signature__`` unless every field is given in order (by position, then
-    by keyword), then calls the class's ``__post_init__`` if it has one;
-    equality, hashing and repr work over the field values; assignment and
-    deletion raise ``AttributeError``.
-    """
-    annotations = vars(cls)["__annotations__"]
-    cls.__match_args__ = tuple(annotations)
-    cls.__signature__ = inspect.Signature([
-        inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD, annotation=annotation,
-                          default=vars(cls).get(name, inspect.Parameter.empty))
-        for name, annotation in annotations.items()], return_annotation=None)
-    cls.__init__ = _record_init
-    cls.__eq__ = _record_eq
-    cls.__hash__ = _record_hash
-    cls.__repr__ = _record_repr
-    cls.__setattr__ = _record_setattr
-    cls.__delattr__ = _record_delattr
-    return cls
-
-
-def _record_init(self, *args, **kwargs) -> None:
-    cls = type(self)
-    fields = cls.__match_args__
-    if kwargs and tuple(kwargs) == fields[len(args):]:
-        args += tuple(kwargs.values())
-    elif kwargs or len(args) != len(fields):
-        try:
-            bound = cls.__signature__.bind(*args, **kwargs)
-        except TypeError as exc:
-            raise TypeError(f"{cls.__qualname__}() {exc}") from None
-        bound.apply_defaults()
-        args = bound.args
-    vars(self).update(zip(fields, args))
-    post_init = getattr(cls, "__post_init__", None)
-    if post_init is not None:
-        post_init(self)
-
-
-def _record_values(self) -> tuple:
-    return tuple(getattr(self, name) for name in self.__match_args__)
-
-
-def _record_eq(self, other):
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return _record_values(self) == _record_values(other)
-
-
-def _record_hash(self) -> int:
-    return hash(_record_values(self))
-
-
-def _record_repr(self) -> str:
-    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-    return f"{type(self).__qualname__}({fields})"
-
-
-def _record_setattr(self, name: str, value) -> None:
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _record_delattr(self, name: str) -> None:
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
 class Party(enum.Enum):
     """Which side of the shared pair an operation acts on."""
 
     ALICE = "ALICE"
     BOB = "BOB"
-
-
-class BellLabel(enum.Enum):
-    """The four maximally entangled two-qubit states."""
-
-    PHI_PLUS = "PHI_PLUS"
-    PHI_MINUS = "PHI_MINUS"
-    PSI_PLUS = "PSI_PLUS"
-    PSI_MINUS = "PSI_MINUS"
 
 
 class PauliLabel(enum.Enum):
@@ -314,3 +240,80 @@ def density_matrix_from_text(text: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"malformed complex entry in density-matrix text: {exc}") from None
     return validate_density_matrix(rho, dim=4)
+
+
+# --- linear-inversion tomography -------------------------------------------
+
+_KETS = {
+    "H": np.array([1.0, 0.0], dtype=complex),
+    "V": np.array([0.0, 1.0], dtype=complex),
+    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    "L": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+}
+
+#: The sixteen product settings (Alice ket, Bob ket), row-major in Alice.
+TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
+
+
+# Design matrix of the linear state-to-frequency map: row i is the transpose
+# of the projector |a b><a b| of setting i, flattened, so that
+# A @ rho.flatten() gives Tr(P_i rho); the products are np.kron's, broadcast.
+_KET_PAIRS = np.array([(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS])
+_SETTING_KETS = (_KET_PAIRS[:, 0, :, None] * _KET_PAIRS[:, 1, None, :]).reshape(16, 4)
+_DESIGN = (_SETTING_KETS.conj()[:, :, None] * _SETTING_KETS[:, None, :]).reshape(16, 16)
+assert np.linalg.matrix_rank(_DESIGN) == 16, "tomography design matrix is singular"
+_DESIGN_INV = np.linalg.inv(_DESIGN)
+_DESIGN.setflags(write=False)
+_DESIGN_INV.setflags(write=False)
+
+
+def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.ndarray:
+    """Noise-free expected counts n * <P_i> for the sixteen settings."""
+    if not (math.isfinite(n_per_projector) and n_per_projector > 0.0):
+        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
+    rho = validate_density_matrix(rho, dim=4)
+    # An einsum, not ``@``: a BLAS gemv may sum in another order and move the last bits.
+    probs = np.einsum("pk,k->p", _DESIGN, rho.reshape(16)).real
+    return n_per_projector * np.clip(probs, 0.0, 1.0)
+
+
+def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.ndarray:
+    """Binomially sampled counts for the sixteen projective settings."""
+    if not (1 <= n_per_projector <= 2**63 - 1 and n_per_projector % 1 == 0):
+        raise ValueError(f"n_per_projector must be a positive integer < 2**63, got {n_per_projector}")
+    probs = expected_tomography_counts(rho, 1.0)
+    rng = np.random.default_rng(seed)
+    return rng.binomial(n_per_projector, probs)
+
+
+def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
+    """Density matrix from sixteen projector counts by linear inversion.
+
+    The raw inverse is Hermitized, projected onto the positive cone
+    (negative eigenvalues from finite statistics are clamped to zero) and
+    trace-normalized.  On exact expected counts this is the identity map.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (16,):
+        raise ValueError(f"expected 16 counts, got shape {counts.shape}")
+    if not np.all(np.isfinite(counts) & (counts >= 0.0)):
+        raise ValueError(f"counts must be finite and non-negative, got {counts}")
+    n = float(n_per_projector)
+    if not (math.isfinite(n) and n > 0.0):
+        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
+    vals, vecs = _reconstruct(counts / n)
+    return validate_density_matrix((vecs * vals) @ vecs.conj().T, dim=4)
+
+
+def _reconstruct(freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unvalidated linear inversion of frequencies (..., 16) as eigenpairs (..., 4),
+    (..., 4, 4) of the states: one ``eigh`` of the Hermitized inverse projects it
+    on the positive cone (clip at 0, divide by the sum) and feeds ``_concurrences``."""
+    rho = (_DESIGN_INV @ freq[..., None]).reshape(freq.shape[:-1] + (4, 4))
+    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
+    vals, vecs = np.linalg.eigh(rho)
+    vals = np.clip(vals, 0.0, None)
+    total = vals.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        raise ValueError("reconstruction gives a zero state; counts unusable")
+    return vals / total, vecs

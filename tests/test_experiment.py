@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import math
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -48,13 +49,13 @@ from densecoding import environment, experiment, protocol
 from densecoding.cli import main
 from densecoding.config import build_config
 from densecoding.experiment import (
-    TOMOGRAPHY_SETTINGS,
     _bootstrap_stats,
     _draw_counts,
     _best_offsets,
     _screened_offsets,
 )
 from densecoding.protocol import _mi_curve
+from densecoding.states import _DESIGN, _KETS, TOMOGRAPHY_SETTINGS
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -254,6 +255,24 @@ class TestFit:
         with pytest.raises(ValueError, match="finite"):
             fit_k_s([bad, (0.4, 0.3)], FOUR)
 
+    @pytest.mark.parametrize("points", [
+        [(0.5, 1e200), (0.3, 0.2), (0.1, 0.1)],
+        [(0.5, -1e155), (0.4, 0.3)],
+        [(0.5, 1e154), (0.4, 1e154)],  # each square is finite, their sum is not
+    ])
+    def test_rejects_points_whose_squares_overflow(self, points):
+        # sum (2 + |mi|)^2 bounds every RSS of the search (_screened_offsets).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"mi values too large: .*\(2 \+ \|mi\|\)\^2"):
+                fit_k_s(points, FOUR)
+
+    def test_fits_the_largest_points_it_accepts_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_k_s([(0.5, 1.3e154), (0.3, 0.2), (0.1, 0.1)], FOUR)
+        assert math.isfinite(fit.residual_sum_squares)
+
     @pytest.mark.parametrize("scheme", [EncodingScheme.three_state((0.5, 0.3, 0.2)),
                                         EncodingScheme.four_state((0.4, 0.3, 0.2, 0.1))],
                              ids=["three_state", "four_state"])
@@ -386,9 +405,9 @@ class TestTomographyProbabilities:
         np.testing.assert_allclose(probs, np.clip(explicit, 0.0, 1.0), rtol=0.0, atol=1e-15)
 
     def test_design_matrix_has_the_bits_of_the_kron_products(self):
-        kets = [np.kron(experiment._KETS[a], experiment._KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
+        kets = [np.kron(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
         kron = np.array([np.kron(ket.conj(), ket) for ket in kets])
-        assert experiment._DESIGN.tobytes() == kron.tobytes()
+        assert _DESIGN.tobytes() == kron.tobytes()
 
 
 class TestPreEncodingStates:

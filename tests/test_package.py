@@ -1,12 +1,18 @@
-"""The lazy package namespace and its lookup order, the command line's BLAS
-thread default and import-heap freeze, the bytes of the process route and
-the demos, each checked in fresh interpreters where import order matters."""
+"""The lazy package namespace and its lookup order, what each command's
+process imports, the command line's BLAS thread default and import-heap
+freeze, the bytes of the process route, the demos and README's quick start,
+each checked in fresh interpreters where import order matters."""
 
+import ast
 import importlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -17,7 +23,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(densecoding.__file__).resolve().parents[1]
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SUBMODULES = ("cli", "config", "environment", "experiment", "protocol", "states")
-LOOKUP_ORDER = ("states", "environment", "protocol", "config", "experiment")
+LOOKUP_ORDER = ("config", "states", "environment", "protocol", "experiment")
 
 PUBLIC_NAMES = [
     "BELL_OUTPUT_ORDER", "BellLabel", "ConditionalTable", "ConfigError",
@@ -75,6 +81,16 @@ class TestLazyPackage:
             assert getattr(densecoding, name) is getattr(owners[0], name)
             assert name in dir(densecoding)
 
+    @pytest.mark.parametrize("module, name", [
+        ("environment", "JointSpectrum"), ("protocol", "BELL_OUTPUT_ORDER"),
+        ("protocol", "EncodingScheme"), ("protocol", "NoiseOrder"), ("protocol", "SchemeVariant"),
+        ("states", "BellLabel"), ("experiment", "expected_tomography_counts"),
+        ("experiment", "reconstruct_linear_inversion"), ("experiment", "tomography_counts"),
+    ])
+    def test_a_moved_name_keeps_its_old_path(self, module, name):
+        assert getattr(importlib.import_module(f"densecoding.{module}"), name) is getattr(
+            densecoding, name)
+
     def test_star_import_binds_every_name(self):
         namespace = {}
         exec("from densecoding import *", namespace)
@@ -104,12 +120,12 @@ class TestLazyPackage:
         assert out.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("name, loaded", [
-        ("concurrence", ["states"]),
-        ("JointSpectrum", ["states", "environment"]),
-        ("closed_form_mi", ["states", "environment", "protocol"]),
-        ("parse_config", ["states", "environment", "protocol", "config"]),
-        # Found after config in the lookup order, which experiment does not import.
-        ("fit_k_s", ["states", "environment", "protocol", "config", "experiment"]),
+        ("concurrence", ["config", "states"]),
+        ("JointSpectrum", ["config"]),
+        ("closed_form_mi", ["config", "states", "environment", "protocol"]),
+        ("parse_config", ["config"]),
+        ("fit_k_s", ["config", "states", "environment", "protocol", "experiment"]),
+        ("tomography_counts", ["config", "states"]),
     ])
     def test_a_name_loads_the_modules_up_to_its_own(self, name, loaded):
         out = run_python("-c", f"import sys, densecoding; densecoding.{name}\n"
@@ -125,6 +141,11 @@ class TestLazyPackage:
         loaded = {m.removeprefix("densecoding.") for m in out.split()}
         assert loaded - {LOOKUP_ORDER[index]} <= set(LOOKUP_ORDER[:index])
 
+    def test_config_loads_no_numpy(self):
+        out = run_python("-c", "import sys, densecoding.config\n"
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+        assert out.strip() == "[]"
+
     def test_private_name_raises_before_any_import(self):
         out = run_python("-c", "import sys, densecoding\n"
                          "try:\n    densecoding._no_such\n"
@@ -139,6 +160,44 @@ class TestLazyPackage:
             densecoding.no_such_name
         with pytest.raises(ImportError):
             exec("from densecoding import no_such_name", {})
+
+
+# Runs ``python -m densecoding.cli`` with the given arguments; prints its exit
+# code, then, as the process exits, numpy and the library modules it loaded.
+LOADED_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(*sorted(m for m in sys.modules if m == "numpy"
+                                      or m.startswith("densecoding.") and m != "densecoding.cli")))
+sys.argv = ["densecoding", *{argv!r}]
+try:
+    runpy.run_module("densecoding.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code)
+"""
+
+
+class TestCommandImports:
+    """Help and usage errors need only config; a command loads what it computes with."""
+
+    def loaded(self, *argv):
+        exit_code, modules = run_python("-c", LOADED_PROBE.format(argv=argv)).splitlines()[-2:]
+        return int(exit_code), modules.split()
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["--help"], 0), (["fit"], 2), (["tomo", "--help"], 0), (["show", "--bogus"], 2),
+    ], ids=["help", "fit-without-in", "tomo-help", "unknown-flag"])
+    def test_help_and_usage_errors_load_no_numpy(self, argv, exit_code):
+        assert self.loaded(*argv) == (exit_code, ["densecoding.config"])
+
+    def test_tomo_loads_only_config_and_states(self, tmp_path):
+        (tmp_path / "counts.txt").write_text(TOMO_COUNTS, encoding="utf-8")
+        argv = ["tomo", "--in", str(tmp_path / "counts.txt"), "--n-per-projector", "100"]
+        assert self.loaded(*argv) == (0, ["densecoding.config", "densecoding.states", "numpy"])
+
+    def test_show_loads_no_experiment(self):
+        code, modules = self.loaded("show")
+        assert (code, "densecoding.experiment" in modules) == (0, False)
+        assert {"densecoding.environment", "densecoding.protocol", "numpy"} <= set(modules)
 
 
 # Records the thread variables at the moment numpy is first imported, runs
@@ -207,6 +266,21 @@ def freeze_count(route):
     return int(run_python("-c", FREEZE_PROBE.format(route=route)).splitlines()[-1])
 
 
+# Prints, as the process exits, whether a collection would still walk numpy's
+# namespace: gc.get_objects() leaves out the frozen objects.
+NUMPY_HEAP_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(any(obj is sys.modules["numpy"].__dict__
+                                  for obj in gc.get_objects())))
+sys.argv = ["densecoding", "show"]
+{route}
+"""
+
+
+def numpy_walked_at_exit(route):
+    return run_python("-c", NUMPY_HEAP_PROBE.format(route=route)).splitlines()[-1] == "True"
+
+
 class TestImportHeapFreeze:
     @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
     def test_process_routes_freeze_the_import_heap(self, route):
@@ -215,6 +289,14 @@ class TestImportHeapFreeze:
     def test_in_process_main_leaves_the_collector_alone(self):
         assert freeze_count("import densecoding.cli\n"
                             "assert densecoding.cli.main(['show']) == 0") == 0
+
+    @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+    def test_process_routes_freeze_numpy_which_the_command_loads(self, route):
+        assert not numpy_walked_at_exit(route)
+
+    def test_the_probe_sees_an_unfrozen_numpy(self):
+        assert numpy_walked_at_exit("import densecoding.cli\n"
+                                    "assert densecoding.cli.main(['show']) == 0")
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,3 +318,28 @@ def test_process_route_writes_the_bytes_of_main(argv, tmp_path, capsys):
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     run_python(str(ROOT / "demos" / demo))
+
+
+def test_readme_quick_start_gives_the_values_it_states():
+    # Each expression statement of the block is compared with the value its
+    # comment states, at the decimals printed there; a name such as log2(3)
+    # is a math expression, compared to the last few ulps.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    comments = {token.start[0]: token.string[1:].split()[0]
+                for token in tokenize.generate_tokens(io.StringIO(block).readline)
+                if token.type == tokenize.COMMENT}
+    namespace, stated = {}, []
+    for statement in ast.parse(block).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        text = comments[statement.end_lineno]
+        if re.fullmatch(r"\d+\.\d+", text):
+            assert f"{value:.{len(text.split('.')[1])}f}" == text, statement.lineno
+        else:
+            assert value == pytest.approx(eval(text, vars(math)), rel=1e-15), statement.lineno
+        stated.append(text)
+    assert stated == ["0.163", "1.02", "2.0", "log2(3)", "1.51006"]
