@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import gc
 import math
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -138,7 +136,7 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     if len(counts) != 16:
         raise ValueError(f"{args.input_path}: expected 16 counts, got {len(counts)}")
     n = args.n_per_projector if args.n_per_projector is not None else cfg.n_per_input
-    rho = reconstruct_linear_inversion(counts, float(n))  # the one validation of the state
+    rho = reconstruct_linear_inversion(counts, n)  # the one validation of the state
     sys.stdout.write(f"concurrence = {_concurrence(rho):.17g}\n")
     path = args.out or cfg.output_path
     if path:
@@ -218,17 +216,13 @@ def _add_flags(parser: argparse.ArgumentParser, name: str, named: set[str] | Non
 
 def _build_parser() -> argparse.ArgumentParser:
     """All five subcommands with every flag: the parser of help, usage and error text."""
-    # argparse makes a formatter per add_argument; each would read the terminal size.
-    formatter = functools.partial(argparse.HelpFormatter,
-                                  width=shutil.get_terminal_size().columns - 2)
     # No abbreviations: a prefix would turn a flag the command lacks into another.
     parser = argparse.ArgumentParser(
-        prog="densecoding", formatter_class=formatter, allow_abbrev=False,
+        prog="densecoding", allow_abbrev=False,
         description="Dense-coding simulator over correlated dephasing environments.")
     subs = parser.add_subparsers(dest="command")
     for name, (_, help_text, _, _) in _COMMANDS.items():
-        _add_flags(subs.add_parser(name, help=help_text, formatter_class=formatter,
-                                   allow_abbrev=False), name)
+        _add_flags(subs.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
 
@@ -266,20 +260,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _use_one_blas_thread() -> None:
-    """Default every BLAS thread pool to one thread; a count the user set wins.
-    BLAS reads these variables once, when numpy loads it.  The package factors
-    only 4 x 4 stacks, which BLAS never splits over threads: extra threads spin."""
-    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(variable, "1")
-
-
 def _process_main() -> int:
     """:func:`main` as the whole of a process (the ``densecoding`` script or
     ``python -m densecoding.cli``).  The heap is frozen before the command and
     again after it, with numpy and what else it imported: a frozen object is never
     walked again by a collection, in the run or at exit; refcounting still frees it."""
-    _use_one_blas_thread()
+    # One BLAS thread unless the user set a count: BLAS reads these once, when numpy
+    # loads it, and never splits the package's 4 x 4 stacks, so extra threads spin.
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(variable, "1")
     gc.freeze()
     code = main()
     gc.freeze()

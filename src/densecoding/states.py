@@ -261,20 +261,29 @@ TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
 _KET_PAIRS = np.array([(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS])
 _SETTING_KETS = (_KET_PAIRS[:, 0, :, None] * _KET_PAIRS[:, 1, None, :]).reshape(16, 4)
 _DESIGN = (_SETTING_KETS.conj()[:, :, None] * _SETTING_KETS[:, None, :]).reshape(16, 16)
-assert np.linalg.matrix_rank(_DESIGN) == 16, "tomography design matrix is singular"
 _DESIGN_INV = np.linalg.inv(_DESIGN)
 _DESIGN.setflags(write=False)
 _DESIGN_INV.setflags(write=False)
 
 
+def _shots(n_per_projector: float) -> float:
+    """n_per_projector as a float, refused unless finite and positive."""
+    try:
+        n = float(n_per_projector)
+    except OverflowError:  # an int beyond the float range
+        n = math.inf
+    if not (math.isfinite(n) and n > 0.0):
+        raise ValueError(f"n_per_projector must be finite and positive, got {n}")
+    return n
+
+
 def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.ndarray:
     """Noise-free expected counts n * <P_i> for the sixteen settings."""
-    if not (math.isfinite(n_per_projector) and n_per_projector > 0.0):
-        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
+    n = _shots(n_per_projector)
     rho = validate_density_matrix(rho, dim=4)
     # An einsum, not ``@``: a BLAS gemv may sum in another order and move the last bits.
     probs = np.einsum("pk,k->p", _DESIGN, rho.reshape(16)).real
-    return n_per_projector * np.clip(probs, 0.0, 1.0)
+    return n * np.clip(probs, 0.0, 1.0)
 
 
 def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.ndarray:
@@ -292,15 +301,16 @@ def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
     The raw inverse is Hermitized, projected onto the positive cone
     (negative eigenvalues from finite statistics are clamped to zero) and
     trace-normalized.  On exact expected counts this is the identity map.
+    A projector fires at most once per shot, so no count may exceed n.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (16,):
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
     if not np.all(np.isfinite(counts) & (counts >= 0.0)):
         raise ValueError(f"counts must be finite and non-negative, got {counts}")
-    n = float(n_per_projector)
-    if not (math.isfinite(n) and n > 0.0):
-        raise ValueError(f"n_per_projector must be finite and positive, got {n_per_projector}")
+    n = _shots(n_per_projector)
+    if counts.max() > n:  # so every frequency is at most 1
+        raise ValueError(f"counts must not exceed n_per_projector = {n}, got {counts.max()}")
     vals, vecs = _reconstruct(counts / n)
     return validate_density_matrix((vecs * vals) @ vecs.conj().T, dim=4)
 

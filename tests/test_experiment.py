@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import math
+import re
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -342,8 +343,9 @@ class TestTomographyCounts:
         idx_dd = TOMOGRAPHY_SETTINGS.index(("D", "D"))
         assert probs[idx_dd] == pytest.approx(0.375, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf, 10**400, -10**400])
     def test_rejects_non_positive_or_non_finite_n_per_projector(self, n):
+        # An int beyond the float range counts as not finite.
         with pytest.raises(ValueError, match="n_per_projector must be finite and positive"):
             expected_tomography_counts(bell_state(BellLabel.PHI_PLUS), n)
 
@@ -483,10 +485,28 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="finite and non-negative"):
             reconstruct_linear_inversion(counts, 1e4)
 
-    @pytest.mark.parametrize("n", [0, -3, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("n", [0, -3, 0.0, math.nan, math.inf, 10**400])
     def test_rejects_non_positive_or_non_finite_n_per_projector(self, n):
         with pytest.raises(ValueError, match="n_per_projector must be finite and positive"):
             reconstruct_linear_inversion(np.full(16, 100.0), n)
+
+    @pytest.mark.parametrize("top, n", [(101.0, 100), (1e308, 1.0), (1.7e308, 1e308)])
+    def test_rejects_a_count_above_n_per_projector(self, top, n):
+        # Each frequency is then at most 1, so the inversion cannot overflow.
+        counts = np.full(16, 1.0)
+        counts[5] = top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"counts must not exceed n_per_projector = {float(n)}, got {top}")):
+                reconstruct_linear_inversion(counts, n)
+
+    def test_accepts_counts_equal_to_n_per_projector(self):
+        # In the state |HH>, the HH projector fires on every shot.
+        hh = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        counts = expected_tomography_counts(hh, 1e308)
+        assert counts.max() == 1e308
+        assert np.max(np.abs(reconstruct_linear_inversion(counts, 1e308) - hh)) < 1e-10
 
     @pytest.mark.parametrize("counts, message", [
         (np.zeros(16), "reconstruction gives a zero state; counts unusable"),

@@ -1,6 +1,7 @@
 """Tests for encoding schemes, outcome tables, mutual information and capacities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from densecoding.protocol import (
     _mi_curve,
     _sector_mi,
     _sector_tables,
+    _sector_visibilities,
 )
 
 THREE = EncodingScheme.three_state()
@@ -515,6 +517,17 @@ class TestMiCurve:
             curve = _mi_curve(kappas, np.array([[-1.0], [1.0]]), EncodingScheme(variant), ratio,
                               order)
             assert np.all(np.isfinite(curve)), ratio
+
+    @pytest.mark.parametrize("ratio", [1e300, 2.5e305, 1.7e308])
+    @pytest.mark.parametrize("order", list(NoiseOrder))
+    def test_a_huge_variance_ratio_reads_its_limit_without_warning(self, ratio, order):
+        # At kappa = 5e-324, r ln(kappa) overflows a float once r passes ~2.4e305.
+        kappas = np.array([5e-324, 1e-300, 0.5, 1.0 - 2**-53, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sectors = _sector_visibilities(kappas, np.array([[-1.0], [0.0], [1.0]]), ratio, order)
+        for m in sectors:
+            np.testing.assert_array_equal(m, np.broadcast_to([0.0, 0.0, 0.0, 0.0, 1.0], (3, 5)))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(list(SchemeVariant)),
            st.sampled_from([1.0, 0.3, 2.5]), st.sampled_from(list(NoiseOrder)),
