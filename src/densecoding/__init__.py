@@ -8,7 +8,9 @@ bars, least-squares parameter fits and linear-inversion tomography.
 Importing the package loads no submodule and so no numpy (PEP 562).  A
 public name, declared once in its module's ``__all__``, imports the library
 modules in dependency order up to the first that declares it; a ``config``
-name loads no numpy.  ``dir()`` and ``__all__`` load all five.
+name loads no numpy.  ``dir()`` and ``__all__`` load all five.  Two submodules
+declare no public name: ``cli``, and ``tomography``, the plain-Python kernel
+that ``tomo`` computes with and ``states`` wraps.
 """
 
 import importlib
@@ -17,12 +19,14 @@ __version__ = "0.1.0"
 
 # Dependency order: each module imports only modules before it.
 _LIBRARY = ("config", "states", "environment", "protocol", "experiment")
+# Submodules that declare no public name, so no lookup imports them.
+_UNLISTED = ("tomography", "cli")
 
 
 def __getattr__(name: str):
     # Not cached in the package namespace: a name always gives its
     # submodule's current binding.
-    if name in _LIBRARY or name == "cli":
+    if name in _LIBRARY or name in _UNLISTED:
         return importlib.import_module(f"{__name__}.{name}")
     modules = (importlib.import_module(f"{__name__}.{module}") for module in _LIBRARY)
     if name == "__all__":
@@ -35,7 +39,7 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | {*_LIBRARY, "cli"} | set(__getattr__("__all__")))
+    return sorted(set(globals()) | {*_LIBRARY, *_UNLISTED} | set(__getattr__("__all__")))
 
 
 def main() -> int:

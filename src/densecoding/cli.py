@@ -124,7 +124,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
-    from .states import _concurrence, _matrix_text, reconstruct_linear_inversion
+    from .tomography import concurrence, matrix_text, reconstruct  # no numpy
 
     cfg = _load_config(args)
     text = Path(args.input_path).read_text(encoding="utf-8")
@@ -136,11 +136,11 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     if len(counts) != 16:
         raise ValueError(f"{args.input_path}: expected 16 counts, got {len(counts)}")
     n = args.n_per_projector if args.n_per_projector is not None else cfg.n_per_input
-    rho = reconstruct_linear_inversion(counts, n)  # the one validation of the state
-    sys.stdout.write(f"concurrence = {_concurrence(rho):.17g}\n")
+    rho, vals, vecs = reconstruct(counts, n)  # the one check of the state
+    sys.stdout.write(f"concurrence = {concurrence(vals, vecs):.17g}\n")
     path = args.out or cfg.output_path
     if path:
-        Path(path).write_text(_matrix_text(rho), encoding="utf-8")
+        Path(path).write_text(matrix_text(rho), encoding="utf-8")
     return 0
 
 

@@ -1,6 +1,8 @@
 """A run's parameters: the records every module takes, and the flat key = value
 configuration that sets them.  Loads no numpy, so the command line can parse,
-print help and refuse input without it.
+print help and refuse input without it.  Also the error and tolerances of the
+density-matrix checks, which both ``states`` and the numpy-free
+``tomography`` apply.
 
 One pair per line, ``#`` starts a comment, keys are case-sensitive and every
 unset key takes a documented default.  The time grid is given either as
@@ -19,6 +21,7 @@ __all__ = [
     "BellLabel",
     "ConfigError",
     "EncodingScheme",
+    "InvariantViolation",
     "JointSpectrum",
     "NoiseOrder",
     "RunConfig",
@@ -108,6 +111,14 @@ class BellLabel(enum.Enum):
 
 
 _ROW_SUM_TOL = 1e-12
+_HERMITICITY_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_EIGENVALUE_FLOOR = -1e-10
+
+
+class InvariantViolation(ValueError):
+    """Raised when a matrix fails the density-matrix checks."""
+
 
 #: Fixed ordering of measurement outcomes in every conditional table.
 BELL_OUTPUT_ORDER = (

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 
 import numpy as np
 
-from .config import BellLabel
+from .config import _EIGENVALUE_FLOOR, _HERMITICITY_TOL, _TRACE_TOL, BellLabel, InvariantViolation
+
+# The four functions that call the plain-Python ``tomography`` kernel import it
+# themselves, so a process that reconstructs no state never compiles it.
 
 __all__ = [
-    "InvariantViolation",
     "PAULI_FOR_BELL",
     "Party",
     "PauliLabel",
@@ -35,15 +36,6 @@ __all__ = [
     "validate_density_matrix",
     "von_neumann_entropy",
 ]
-
-_HERMITICITY_TOL = 1e-12
-_TRACE_TOL = 1e-12
-_EIGENVALUE_FLOOR = -1e-10
-
-
-class InvariantViolation(ValueError):
-    """Raised when a matrix fails the density-matrix checks."""
-
 
 class Party(enum.Enum):
     """Which side of the shared pair an operation acts on."""
@@ -155,9 +147,6 @@ def binary_entropy(x: float) -> float:
     return float(-(_xlogy(x, x) + _xlogy(1.0 - x, 1.0 - x)) / np.log(2.0))
 
 
-_Y_OTIMES_Y = np.kron(_PAULI_MATRICES[PauliLabel.Y], _PAULI_MATRICES[PauliLabel.Y]).real
-
-
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Matrix square root of unit-trace PSD matrices, shape (..., n, n).
 
@@ -173,27 +162,12 @@ def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
 def concurrence(rho: np.ndarray) -> float:
     """Wootters entanglement monotone of a two-qubit state, in [0, 1]: max(0,
     l1 - l2 - l3 - l4) over the decreasingly ordered square roots of the
-    eigenvalues of rho (Y x Y) rho* (Y x Y), from one ``eigh`` of rho."""
-    return _concurrence(validate_density_matrix(rho, dim=4))
+    eigenvalues of rho (Y x Y) rho* (Y x Y), from one eigendecomposition of
+    rho (see ``tomography.concurrence``)."""
+    from . import tomography
 
-
-def _concurrence(rho: np.ndarray) -> float:
-    """:func:`concurrence` of a state that is already validated."""
-    return float(_concurrences(*np.linalg.eigh(rho)))
-
-
-def _concurrences(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """:func:`concurrence` of unchecked eigenpairs (..., 4), (..., 4, 4) of states.
-
-    The l_i are the singular values of sqrt(flipped) sqrt(rho). With rho =
-    V Lambda V^H and S = diag(sqrt(Lambda)), Lambda < 1e-14 set to 0 as in
-    :func:`_psd_sqrt`, that product is (Y x Y) conj(V) S W S V^H with W =
-    V^T (Y x Y) V. Unitary factors leave singular values alone: the l_i are
-    those of S W S, which an SVD resolves at machine precision."""
-    root = np.sqrt(np.where(vals < 1e-14, 0.0, vals))
-    sws = root[..., :, None] * (vecs.swapaxes(-1, -2) @ _Y_OTIMES_Y @ vecs) * root[..., None, :]
-    lams = np.linalg.svd(sws, compute_uv=False)
-    return np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3])
+    rho = validate_density_matrix(rho, dim=4).tolist()
+    return tomography.concurrence(*tomography.eigh(rho))
 
 
 def dense_coding_capacity(rho: np.ndarray) -> float:
@@ -222,12 +196,9 @@ def density_matrix_to_text(rho: np.ndarray) -> str:
     Four lines of four entries, each entry "re+imj" with 17 significant
     digits, rows and columns in (HH, HV, VH, VV) order.
     """
-    return _matrix_text(validate_density_matrix(rho, dim=4))
+    from .tomography import matrix_text
 
-
-def _matrix_text(rho: np.ndarray) -> str:
-    """:func:`density_matrix_to_text` of a state that is already validated."""
-    return "".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) + "\n" for row in rho)
+    return matrix_text(validate_density_matrix(rho, dim=4).tolist())
 
 
 def density_matrix_from_text(text: str) -> np.ndarray:
@@ -261,25 +232,14 @@ TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
 _KET_PAIRS = np.array([(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS])
 _SETTING_KETS = (_KET_PAIRS[:, 0, :, None] * _KET_PAIRS[:, 1, None, :]).reshape(16, 4)
 _DESIGN = (_SETTING_KETS.conj()[:, :, None] * _SETTING_KETS[:, None, :]).reshape(16, 16)
-_DESIGN_INV = np.linalg.inv(_DESIGN)
 _DESIGN.setflags(write=False)
-_DESIGN_INV.setflags(write=False)
-
-
-def _shots(n_per_projector: float) -> float:
-    """n_per_projector as a float, refused unless finite and positive."""
-    try:
-        n = float(n_per_projector)
-    except OverflowError:  # an int beyond the float range
-        n = math.inf
-    if not (math.isfinite(n) and n > 0.0):
-        raise ValueError(f"n_per_projector must be finite and positive, got {n}")
-    return n
 
 
 def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.ndarray:
     """Noise-free expected counts n * <P_i> for the sixteen settings."""
-    n = _shots(n_per_projector)
+    from .tomography import shots
+
+    n = shots(n_per_projector)
     rho = validate_density_matrix(rho, dim=4)
     # An einsum, not ``@``: a BLAS gemv may sum in another order and move the last bits.
     probs = np.einsum("pk,k->p", _DESIGN, rho.reshape(16)).real
@@ -298,32 +258,15 @@ def tomography_counts(rho: np.ndarray, n_per_projector: int, seed: int) -> np.nd
 def reconstruct_linear_inversion(counts, n_per_projector: float) -> np.ndarray:
     """Density matrix from sixteen projector counts by linear inversion.
 
-    The raw inverse is Hermitized, projected onto the positive cone
-    (negative eigenvalues from finite statistics are clamped to zero) and
-    trace-normalized.  On exact expected counts this is the identity map.
-    A projector fires at most once per shot, so no count may exceed n.
+    The raw inverse is projected onto the positive cone (negative
+    eigenvalues from finite statistics are clamped to zero) and
+    trace-normalized, by ``tomography.reconstruct``.  On exact expected
+    counts this is the identity map.  A projector fires at most once per
+    shot, so no count may exceed n.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (16,):
         raise ValueError(f"expected 16 counts, got shape {counts.shape}")
-    if not np.all(np.isfinite(counts) & (counts >= 0.0)):
-        raise ValueError(f"counts must be finite and non-negative, got {counts}")
-    n = _shots(n_per_projector)
-    if counts.max() > n:  # so every frequency is at most 1
-        raise ValueError(f"counts must not exceed n_per_projector = {n}, got {counts.max()}")
-    vals, vecs = _reconstruct(counts / n)
-    return validate_density_matrix((vecs * vals) @ vecs.conj().T, dim=4)
+    from .tomography import reconstruct
 
-
-def _reconstruct(freq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unvalidated linear inversion of frequencies (..., 16) as eigenpairs (..., 4),
-    (..., 4, 4) of the states: one ``eigh`` of the Hermitized inverse projects it
-    on the positive cone (clip at 0, divide by the sum) and feeds ``_concurrences``."""
-    rho = (_DESIGN_INV @ freq[..., None]).reshape(freq.shape[:-1] + (4, 4))
-    rho = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    total = vals.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
-        raise ValueError("reconstruction gives a zero state; counts unusable")
-    return vals / total, vecs
+    return np.array(reconstruct(counts.tolist(), n_per_projector)[0])

@@ -6,7 +6,8 @@ shorter than ``TEXT_LIMIT`` characters, so that a failure can show a diff.
 Help text is formatted at 80 columns, and any warning is an error.
 
 Regenerate ``corpus/expected.json`` after a change that moves bytes on
-purpose, and list the moved cases in CHANGES.md:
+purpose, and list the moved cases in CHANGES.md; the script prints their
+names, one a line, and the count of unchanged cases:
 
     PYTHONPATH=src python tests/byte_corpus.py
 """
@@ -83,10 +84,16 @@ def versions() -> dict[str, str]:
 
 
 def regenerate() -> None:
+    """Rewrite EXPECTED, and print the names of the cases whose record moved
+    against the file it replaces (new cases included), then the count of the rest."""
+    old = json.loads(EXPECTED.read_text(encoding="utf-8"))["cases"] if EXPECTED.exists() else {}
     expected = {**versions(), "cases": {name: run(args) for name, args in cases().items()}}
     EXPECTED.write_text(json.dumps(expected, indent=1, ensure_ascii=False) + "\n",
                         encoding="utf-8")
-    print(f"wrote {len(expected['cases'])} cases to {EXPECTED}", file=sys.stderr)
+    moved = [name for name, record in expected["cases"].items() if old.get(name) != record]
+    print(*moved, sep="\n")
+    print(f"wrote {len(expected['cases'])} cases to {EXPECTED}: {len(moved)} moved, "
+          f"{len(expected['cases']) - len(moved)} unchanged", file=sys.stderr)
 
 
 if __name__ == "__main__":

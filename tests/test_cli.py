@@ -38,7 +38,7 @@ from densecoding import (
     sweep_rows_to_csv,
     tomography_counts,
 )
-from densecoding import cli, states
+from densecoding import cli, tomography
 from densecoding.cli import _build_parser, main
 from densecoding.config import CONFIG_DEFAULTS
 
@@ -488,22 +488,26 @@ class TestTomo:
     def test_validates_the_state_once(self, t, tmp_path, monkeypatch, capsys):
         counts = tomography_counts(evolve_pre_encoding(JointSpectrum(k=-0.5), t), 10000, seed=3)
         rho = reconstruct_linear_inversion(counts, 10000.0)
-        # The bytes of the public, validating route.
-        expected = f"concurrence = {concurrence(rho):.17g}\n", density_matrix_to_text(rho)
         path = tmp_path / "counts.txt"
         path.write_text(" ".join(str(c) for c in counts.tolist()) + "\n")
         calls = []
 
-        def counting(rho, dim=None):
-            calls.append(dim)
-            return validate(rho, dim)
+        def counting(rho):
+            calls.append(len(rho))
+            return check(rho)
 
-        validate = states.validate_density_matrix
-        monkeypatch.setattr(states, "validate_density_matrix", counting)  # tomography's name
+        check = tomography.check_state
+        monkeypatch.setattr(tomography, "check_state", counting)
         out = tmp_path / "state.txt"
-        assert run_cli(["tomo", "--in", str(path), "--n-per-projector", "10000",
-                        "--out", str(out)], capsys) == (0, expected[0], "")
-        assert (calls, out.read_text()) == ([4], expected[1])
+        code, stdout, stderr = run_cli(["tomo", "--in", str(path), "--n-per-projector", "10000",
+                                        "--out", str(out)], capsys)
+        assert (code, stderr, calls) == (0, "", [4])
+        # The library's numpy wrappers give the same matrix, and its concurrence
+        # from a second eigendecomposition.
+        assert out.read_text() == density_matrix_to_text(rho)
+        assert stdout.startswith("concurrence = ")
+        assert float(stdout.removeprefix("concurrence = ")) == pytest.approx(concurrence(rho),
+                                                                             abs=1e-14)
 
     def test_wrong_count_of_counts(self, tmp_path, capsys):
         path = tmp_path / "counts.txt"
@@ -512,14 +516,13 @@ class TestTomo:
         assert code == 1
         assert "16" in stderr
 
-    @pytest.mark.parametrize("bad", ["nan", "-5"])
+    @pytest.mark.parametrize("bad", ["nan", "-5", "-inf"])
     def test_rejects_non_finite_or_negative_counts(self, bad, tmp_path, capsys):
+        # One line naming the first bad count and its position.
         path = tmp_path / "counts.txt"
-        path.write_text(" ".join(["100"] * 15 + [bad]) + "\n")
-        code, stdout, stderr = run_cli(["tomo", "--in", str(path)], capsys)
-        assert code == 1
-        assert stdout == ""
-        assert stderr.startswith("error: counts must be finite and non-negative")
+        path.write_text(" ".join(["100"] * 14 + [bad, "nan"]) + "\n")
+        message = f"counts must be finite and non-negative, got {float(bad)} at position 15"
+        assert run_cli(["tomo", "--in", str(path)], capsys) == (1, "", f"error: {message}\n")
 
     def test_rejects_non_numeric_counts(self, tmp_path, capsys):
         path = tmp_path / "counts.txt"

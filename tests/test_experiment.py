@@ -482,7 +482,8 @@ class TestReconstruction:
     def test_rejects_non_finite_or_negative_counts(self, bad):
         counts = expected_tomography_counts(bell_state(BellLabel.PHI_PLUS), 1e4)
         counts[3] = bad
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"counts must be finite and non-negative, got {bad} at position 4")):
             reconstruct_linear_inversion(counts, 1e4)
 
     @pytest.mark.parametrize("n", [0, -3, 0.0, math.nan, math.inf, 10**400])

@@ -22,7 +22,7 @@ import densecoding
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(densecoding.__file__).resolve().parents[1]
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SUBMODULES = ("cli", "config", "environment", "experiment", "protocol", "states")
+SUBMODULES = ("cli", "config", "environment", "experiment", "protocol", "states", "tomography")
 LOOKUP_ORDER = ("config", "states", "environment", "protocol", "experiment")
 
 PUBLIC_NAMES = [
@@ -84,7 +84,8 @@ class TestLazyPackage:
     @pytest.mark.parametrize("module, name", [
         ("environment", "JointSpectrum"), ("protocol", "BELL_OUTPUT_ORDER"),
         ("protocol", "EncodingScheme"), ("protocol", "NoiseOrder"), ("protocol", "SchemeVariant"),
-        ("states", "BellLabel"), ("experiment", "expected_tomography_counts"),
+        ("states", "BellLabel"), ("states", "InvariantViolation"),
+        ("experiment", "expected_tomography_counts"),
         ("experiment", "reconstruct_linear_inversion"), ("experiment", "tomography_counts"),
     ])
     def test_a_moved_name_keeps_its_old_path(self, module, name):
@@ -126,6 +127,7 @@ class TestLazyPackage:
         ("parse_config", ["config"]),
         ("fit_k_s", ["config", "states", "environment", "protocol", "experiment"]),
         ("tomography_counts", ["config", "states"]),
+        ("InvariantViolation", ["config"]),
     ])
     def test_a_name_loads_the_modules_up_to_its_own(self, name, loaded):
         out = run_python("-c", f"import sys, densecoding; densecoding.{name}\n"
@@ -189,10 +191,16 @@ class TestCommandImports:
     def test_help_and_usage_errors_load_no_numpy(self, argv, exit_code):
         assert self.loaded(*argv) == (exit_code, ["densecoding.config"])
 
-    def test_tomo_loads_only_config_and_states(self, tmp_path):
+    def test_tomo_loads_only_config_and_tomography(self, tmp_path):
+        # No states and no numpy: the tomography kernel is plain Python.
         (tmp_path / "counts.txt").write_text(TOMO_COUNTS, encoding="utf-8")
         argv = ["tomo", "--in", str(tmp_path / "counts.txt"), "--n-per-projector", "100"]
-        assert self.loaded(*argv) == (0, ["densecoding.config", "densecoding.states", "numpy"])
+        assert self.loaded(*argv) == (0, ["densecoding.config", "densecoding.tomography"])
+
+    def test_show_loads_no_tomography(self):
+        # states imports the tomography kernel only in the functions that call it.
+        code, modules = self.loaded("show")
+        assert (code, "densecoding.tomography" in modules) == (0, False)
 
     def test_show_loads_no_experiment(self):
         code, modules = self.loaded("show")

@@ -24,7 +24,8 @@ from densecoding import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from densecoding.states import _concurrences
+from densecoding import tomography
+from densecoding.states import _DESIGN
 
 BELLS = list(BellLabel)
 PAULIS = list(PauliLabel)
@@ -244,19 +245,60 @@ class TestConcurrenceOracles:
         assume(smallest_root > 0.02)  # about 1.5 % of draws; below, the oracle drifts
         assert concurrence(rho) == pytest.approx(expected, abs=1e-12)
 
-    @given(SEEDS, st.integers(1, 40))
+
+def hermitian_cases(rng):
+    """Hermitian 4 x 4 matrices with entries of order 1: indefinite, of ranks 1
+    to 3, diagonal, and with degenerate spectra in a random basis."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    yield (g + g.conj().T) / 4.0
+    for rank in (1, 2, 3):
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        yield g @ g.conj().T / np.sum(np.abs(g) ** 2)
+    yield np.diag(rng.normal(size=4)).astype(complex)
+    yield np.diag(rng.choice([-0.5, 0.0, 0.5], size=4)).astype(complex)
+    u = random_unitary(rng, 4)
+    for spectrum in ([0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.3, 0.3, 0.3, 0.1], [-0.2, 0.6, 0.6, 0.0]):
+        yield (u * spectrum) @ u.conj().T
+
+
+class TestTomographyKernel:
+    """The plain-Python kernel of ``tomo`` against numpy oracles."""
+
+    @given(SEEDS)
     @settings(deadline=None)
-    def test_stacked_kernel_equals_the_scalar_route(self, seed, count):
-        rng = np.random.default_rng(seed)
-        states = []
-        for rank in rng.integers(1, 5, size=count):
-            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-            states.append(g @ g.conj().T / np.sum(np.abs(g) ** 2))
-        states = np.array(states)
-        stacked = _concurrences(*np.linalg.eigh(states))
-        assert stacked.shape == (count,)
-        np.testing.assert_allclose(stacked, [concurrence(rho) for rho in states],
-                                   rtol=0.0, atol=1e-12)
+    def test_linear_inversion_equals_the_inverse_design(self, seed):
+        # Not 1e-15: over 10^5 such vectors the two differ by up to 1.35e-15,
+        # and where they differ most, exact rational arithmetic puts the
+        # oracle's own error at up to 1.3e-15 and the closed form's at 4.6e-16.
+        freqs = np.random.default_rng(seed).random(16)
+        rho = np.array(tomography.linear_inversion(freqs.tolist()))
+        expected = (np.linalg.inv(_DESIGN) @ freqs).reshape(4, 4)
+        assert np.max(np.abs(rho - expected)) <= 2e-15
+        assert np.array_equal(rho, rho.conj().T)
+
+    @given(SEEDS)
+    @settings(deadline=None)
+    def test_jacobi_eigenpairs_rebuild_the_matrix(self, seed):
+        for matrix in hermitian_cases(np.random.default_rng(seed)):
+            vals, vecs = tomography.eigh(matrix.tolist())
+            v = np.array(vecs).T  # eigenvectors as columns
+            assert vals == sorted(vals)
+            assert np.max(np.abs(np.array(vals) - np.linalg.eigvalsh(matrix))) <= 1e-14
+            assert np.max(np.abs((v * vals) @ v.conj().T - matrix)) <= 1e-14
+            assert np.max(np.abs(v.conj().T @ v - np.eye(4))) <= 1e-14
+
+    @given(st.integers(1, 10**6), st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16),
+           st.booleans())
+    @settings(deadline=None)
+    def test_every_accepted_count_vector_gives_a_valid_state(self, n, shares, whole):
+        counts = [round(share * n) if whole else share * n for share in shares]
+        try:
+            rho, vals, vecs = tomography.reconstruct(counts, n)
+        except ValueError as exc:  # the one refusal counts in [0, n] can meet
+            assert str(exc) == "reconstruction gives a zero state; counts unusable"
+            return
+        validate_density_matrix(np.array(rho), dim=4)
+        assert 0.0 <= tomography.concurrence(vals, vecs) <= 1.0 + 1e-12
 
 
 class TestDenseCodingCapacity:
