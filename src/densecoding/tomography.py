@@ -1,8 +1,8 @@
 """Sixteen-setting linear-inversion tomography of a two-qubit state and its
 Wootters concurrence, in plain Python floats.
 
-The ``tomo`` command computes with this module alone, so its process loads
-no numpy; ``states`` wraps the same functions for ndarrays.  A matrix is a
+The ``tomo`` command computes with this module and ``config`` only, so its
+process loads no numpy; ``states`` wraps the same functions for ndarrays.  A matrix is a
 list of four rows of four complex entries in the product basis (HH, HV, VH,
 VV), and eigenvectors are a list of four columns.  The arithmetic is float
 arithmetic and ``math.sqrt`` only, with no ``sum``, so the bytes depend on
