@@ -148,10 +148,11 @@ def _from_eigenpairs(vals: list[float], vecs: list[list[complex]]) -> list[list[
     return rho
 
 
-def check_state(rho) -> None:
+def check_state(rho) -> tuple[list[float], list[list[complex]]]:
     """Raise :class:`InvariantViolation` unless the 4 x 4 rho has finite entries,
     is Hermitian and of unit trace within 1e-12, and has no eigenvalue below
-    -1e-10: the checks of ``states.validate_density_matrix``."""
+    -1e-10: the checks of ``states.validate_density_matrix``.  Return the
+    eigenpairs of rho by :func:`eigh`, from which the last check reads."""
     if not all(math.isfinite(z.real) and math.isfinite(z.imag) for row in rho for z in row):
         raise InvariantViolation("density matrix has non-finite entries")
     herm_err = 0.0
@@ -165,26 +166,10 @@ def check_state(rho) -> None:
     trace_err = math.sqrt(trace.real * trace.real + trace.imag * trace.imag)
     if trace_err > _TRACE_TOL:
         raise InvariantViolation(f"trace differs from 1 by {trace_err:.3e}")
-    if not _above_floor(rho):  # then an eigenvalue may lie below the floor: find it
-        lo = eigh(rho)[0][0]
-        if lo < _EIGENVALUE_FLOOR:
-            raise InvariantViolation(f"matrix not positive semidefinite: eigenvalue {lo:.3e}")
-
-
-def _above_floor(rho) -> bool:
-    """Whether rho - _EIGENVALUE_FLOOR I is positive definite, that is, whether no
-    eigenvalue of rho lies at or below the floor: all its Cholesky pivots are
-    positive.  A tenth of the cost of :func:`eigh`."""
-    m = [[rho[i][j] for j in range(i + 1)] for i in range(4)]  # the lower triangle
-    for k in range(4):
-        pivot = m[k][k].real - _EIGENVALUE_FLOOR
-        if not pivot > 0.0:
-            return False
-        for i in range(k + 1, 4):
-            factor = m[i][k] / pivot
-            for j in range(k + 1, i + 1):
-                m[i][j] -= factor * m[j][k].conjugate()
-    return True
+    vals, vecs = eigh(rho)
+    if vals[0] < _EIGENVALUE_FLOOR:
+        raise InvariantViolation(f"matrix not positive semidefinite: eigenvalue {vals[0]:.3e}")
+    return vals, vecs
 
 
 def reconstruct(counts, n_per_projector) -> tuple[list[list[complex]], list[float],
@@ -193,7 +178,8 @@ def reconstruct(counts, n_per_projector) -> tuple[list[list[complex]], list[floa
 
     The inverse is projected onto the positive cone (negative eigenvalues
     from finite statistics are clamped to zero) and trace-normalized, then
-    checked by :func:`check_state`.  On exact expected counts this is the
+    checked by :func:`check_state`, whose eigenpairs are returned: those of
+    ``concurrence(*eigh(rho))``, the route of ``states.concurrence``.  On exact expected counts this is the
     identity map.  A projector fires at most once per shot, so no count may
     exceed n.
     """
@@ -212,8 +198,7 @@ def reconstruct(counts, n_per_projector) -> tuple[list[list[complex]], list[floa
         raise ValueError("reconstruction gives a zero state; counts unusable")
     vals = [lam / total for lam in vals]
     rho = _from_eigenpairs(vals, vecs)
-    check_state(rho)
-    return rho, vals, vecs
+    return (rho, *check_state(rho))
 
 
 def concurrence(vals: list[float], vecs: list[list[complex]]) -> float:

@@ -353,13 +353,21 @@ class TestValidation:
             validate_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
 
     @pytest.mark.parametrize("bad, message", [
-        (np.eye(4) / 4 + 0.1 * np.eye(4, k=1), "matrix not Hermitian"),
-        (np.diag([0.6, -0.1, 0.25, 0.25]), "matrix not positive semidefinite"),
+        (np.eye(4) / 4 + 0.1 * np.eye(4, k=1), "matrix not Hermitian: max asymmetry 1.000e-01"),
+        (np.eye(4) / 2, "trace differs from 1 by 1.000e+00"),
+        (np.diag([0.6, -0.1, 0.25, 0.25]), "matrix not positive semidefinite: eigenvalue -1.000e-01"),
+        (np.diag([0.6, 0.4 + 2e-10, -2e-10, 0.0]),
+         "matrix not positive semidefinite: eigenvalue -2.000e-10"),
         (np.diag([math.nan, 0.25, 0.25, 0.25]), "density matrix has non-finite entries"),
-    ], ids=["non_hermitian", "negative", "nan"])
+        (np.diag([0.25, 0.25, 0.25, 0.25 + 1j * math.inf]), "density matrix has non-finite entries"),
+    ], ids=["non_hermitian", "wrong_trace", "negative", "just_below_floor", "nan", "inf_imag"])
     def test_rejects_bad_state(self, bad, message):
-        with pytest.raises(InvariantViolation, match=message):
+        # The numpy check and the tomography kernel's refuse alike, word for word.
+        with pytest.raises(InvariantViolation) as numpy_refusal:
             validate_density_matrix(bad)
+        with pytest.raises(InvariantViolation) as kernel_refusal:
+            tomography.check_state(bad.tolist())
+        assert str(numpy_refusal.value) == str(kernel_refusal.value) == message
 
     @pytest.mark.parametrize("rho, dim, message", [
         (np.ones((4, 3)) / 4, None, r"density matrix must be square, got shape \(4, 3\)"),
@@ -372,6 +380,8 @@ class TestValidation:
     def test_tolerates_tiny_negative_eigenvalue(self):
         rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
         validate_density_matrix(rho)
+        vals, _ = tomography.check_state(rho.tolist())
+        assert vals[0] == -5e-11
         assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
 
