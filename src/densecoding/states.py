@@ -1,5 +1,5 @@
-"""Two-qubit polarization states, the information measures built on them,
-and their sixteen-setting linear-inversion tomography.
+"""Two-qubit polarization states, the information measures built on them, and
+ndarray wrappers of the ``tomography`` kernel, which owns their tomography design.
 
 Density matrices are plain complex ndarrays in the fixed product basis
 (HH, HV, VH, VV).  All entropies and capacities are in bits.
@@ -8,7 +8,6 @@ Density matrices are plain complex ndarrays in the fixed product basis
 from __future__ import annotations
 
 import enum
-import itertools
 
 import numpy as np
 
@@ -89,6 +88,8 @@ def validate_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarr
         raise InvariantViolation(f"density matrix must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvariantViolation(f"expected a {dim}x{dim} matrix, got {rho.shape}")
+    if rho.size == 0:
+        raise InvariantViolation(f"density matrix must not be empty, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
         raise InvariantViolation("density matrix has non-finite entries")
     herm_err = np.max(np.abs(rho - rho.conj().T))
@@ -215,34 +216,16 @@ def density_matrix_from_text(text: str) -> np.ndarray:
 
 # --- linear-inversion tomography -------------------------------------------
 
-_KETS = {
-    "H": np.array([1.0, 0.0], dtype=complex),
-    "V": np.array([0.0, 1.0], dtype=complex),
-    "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "L": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
-}
-
-#: The sixteen product settings (Alice ket, Bob ket), row-major in Alice.
-TOMOGRAPHY_SETTINGS = tuple(itertools.product("HVDL", repeat=2))
-
-
-# Design matrix of the linear state-to-frequency map: row i is the transpose
-# of the projector |a b><a b| of setting i, flattened, so that
-# A @ rho.flatten() gives Tr(P_i rho); the products are np.kron's, broadcast.
-_KET_PAIRS = np.array([(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS])
-_SETTING_KETS = (_KET_PAIRS[:, 0, :, None] * _KET_PAIRS[:, 1, None, :]).reshape(16, 4)
-_DESIGN = (_SETTING_KETS.conj()[:, :, None] * _SETTING_KETS[:, None, :]).reshape(16, 16)
-_DESIGN.setflags(write=False)
+#: The sixteen product settings (Alice ket, Bob ket) in ``tomography.frequencies``'s order.
+TOMOGRAPHY_SETTINGS = tuple((a, b) for a in "HVDL" for b in "HVDL")
 
 
 def expected_tomography_counts(rho: np.ndarray, n_per_projector: float) -> np.ndarray:
     """Noise-free expected counts n * <P_i> for the sixteen settings."""
-    from .tomography import shots
+    from .tomography import frequencies, shots
 
     n = shots(n_per_projector)
-    rho = validate_density_matrix(rho, dim=4)
-    # An einsum, not ``@``: a BLAS gemv may sum in another order and move the last bits.
-    probs = np.einsum("pk,k->p", _DESIGN, rho.reshape(16)).real
+    probs = frequencies(validate_density_matrix(rho, dim=4).tolist())
     return n * np.clip(probs, 0.0, 1.0)
 
 

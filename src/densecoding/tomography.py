@@ -1,5 +1,5 @@
-"""Sixteen-setting linear-inversion tomography of a two-qubit state and its
-Wootters concurrence, in plain Python floats.
+"""The sixteen-setting tomography of a two-qubit state, its design held both ways
+in Stokes form, and the state's Wootters concurrence, in plain Python floats.
 
 The ``tomo`` command computes with this module and ``config`` only, so its
 process loads no numpy; ``states`` wraps the same functions for ndarrays.  A matrix is a
@@ -42,18 +42,27 @@ def _stokes(h, v, d, l):
     return h + v, 2.0 * d - h - v, 2.0 * l - h - v, h - v
 
 
+def _projections(s0, s1, s2, s3):
+    """The H, V, D and L frequencies of one qubit from its Stokes parameters: _stokes inverted."""
+    return 0.5 * (s0 + s3), 0.5 * (s0 - s3), 0.5 * (s0 + s1), 0.5 * (s0 + s2)
+
+
 def _pauli_block(s0, s1, s2, s3):
     """The 2 x 2 matrix s0 I + s1 X + s2 Y + s3 Z, rows (H, V)."""
     return ((s0 + s3, s1 - 1j * s2), (s1 + 1j * s2, s0 - s3))
 
 
+def _pauli_traces(a, b, c, d):
+    """Tr(sigma m), sigma = I, X, Y, Z, of m = [[a, b], [c, d]]: _pauli_block inverted, times 2."""
+    return a + d, b + c, 1j * (b - c), a - d
+
+
 def linear_inversion(freqs) -> list[list[complex]]:
-    """The matrix whose sixteen projector expectations are freqs, in the order of
-    ``states.TOMOGRAPHY_SETTINGS`` (H, V, D, L for Alice, then for Bob), as
-    rho = sum S_mu,nu sigma_mu x sigma_nu / 4 over the two-qubit Stokes
-    parameters (James, Kwiat, Munro & White, PRA 64, 052312, 2001).  Each
-    entry below the diagonal is the conjugate of its mirror, so the matrix is
-    exactly Hermitian."""
+    """The matrix whose sixteen projector expectations are freqs, those of H, V,
+    D and L for Alice, each with H, V, D and L for Bob, as rho = sum S_mu,nu
+    sigma_mu x sigma_nu / 4 over the two-qubit Stokes parameters (James, Kwiat,
+    Munro & White, PRA 64, 052312, 2001).  Each entry below the diagonal is the
+    conjugate of its mirror, so the matrix is exactly Hermitian."""
     bob = [_stokes(*freqs[4 * a:4 * a + 4]) for a in range(4)]
     alice = [_pauli_block(*_stokes(*column)) for column in zip(*bob)]  # one per Bob Pauli
     rho = [[0j] * 4 for _ in range(4)]
@@ -67,6 +76,14 @@ def linear_inversion(freqs) -> list[list[complex]]:
         for c in range(r):
             rho[r][c] = rho[c][r].conjugate()
     return rho
+
+
+def frequencies(rho) -> list[float]:
+    """The sixteen projector expectations of a Hermitian 4 x 4 rho: the inverse of
+    :func:`linear_inversion`, its order and steps run backwards."""
+    blocks = [_pauli_traces(*rho[i][k:k + 2], *rho[i + 1][k:k + 2]) for i in (0, 2) for k in (0, 2)]
+    alice = [_projections(*_pauli_traces(*column)) for column in zip(*blocks)]  # one per Bob Pauli
+    return [f.real for column in zip(*alice) for f in _projections(*column)]
 
 
 # The six index pairs (p, q) of a Jacobi sweep, each with the two other indices.

@@ -56,7 +56,7 @@ from densecoding.experiment import (
     _screened_offsets,
 )
 from densecoding.protocol import _mi_curve
-from densecoding.states import _DESIGN, _KETS, TOMOGRAPHY_SETTINGS
+from densecoding.states import TOMOGRAPHY_SETTINGS
 
 THREE = EncodingScheme.three_state()
 FOUR = EncodingScheme.four_state()
@@ -405,11 +405,6 @@ class TestTomographyProbabilities:
         explicit = np.array([[np.vdot(ket, rho @ ket).real for ket in kets] for rho in states])
         probs = np.array([expected_tomography_counts(rho, 1.0) for rho in states])
         np.testing.assert_allclose(probs, np.clip(explicit, 0.0, 1.0), rtol=0.0, atol=1e-15)
-
-    def test_design_matrix_has_the_bits_of_the_kron_products(self):
-        kets = [np.kron(_KETS[a], _KETS[b]) for a, b in TOMOGRAPHY_SETTINGS]
-        kron = np.array([np.kron(ket.conj(), ket) for ket in kets])
-        assert _DESIGN.tobytes() == kron.tobytes()
 
 
 class TestPreEncodingStates:

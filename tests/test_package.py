@@ -197,10 +197,17 @@ class TestCommandImports:
         argv = ["tomo", "--in", str(tmp_path / "counts.txt"), "--n-per-projector", "100"]
         assert self.loaded(*argv) == (0, ["densecoding.config", "densecoding.tomography"])
 
-    def test_show_loads_no_tomography(self):
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--t-list", "0,1", "--n-per-input", "100", "--trials", "2"],
+        ["mc", "--t-a", "0.5", "--n-per-input", "100", "--trials", "5"],
+        ["fit", "--in", "{points}"], ["show"],
+    ], ids=["sweep", "mc", "fit", "show"])
+    def test_numpy_commands_load_no_tomography(self, argv, tmp_path):
         # states imports the tomography kernel only in the functions that call it.
-        code, modules = self.loaded("show")
-        assert (code, "densecoding.tomography" in modules) == (0, False)
+        points = tmp_path / "points.csv"
+        points.write_text("0.2,1.51\n0.5,1.51\n0.9,1.51\n", encoding="utf-8")
+        code, modules = self.loaded(*(arg.format(points=points) for arg in argv))
+        assert (code, "numpy" in modules, "densecoding.tomography" in modules) == (0, True, False)
 
     def test_show_loads_no_experiment(self):
         code, modules = self.loaded("show")

@@ -25,7 +25,7 @@ from densecoding import (
     von_neumann_entropy,
 )
 from densecoding import tomography
-from densecoding.states import _DESIGN
+from densecoding.states import TOMOGRAPHY_SETTINGS
 
 BELLS = list(BellLabel)
 PAULIS = list(PauliLabel)
@@ -41,6 +41,16 @@ def random_unitary(rng, dim=2):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def kron_design():
+    """The 16 x 16 map from rho.flatten() to the sixteen projector expectations,
+    row i the np.kron of ket_i's conjugate with ket_i."""
+    kets = {"H": np.array([1.0, 0.0], dtype=complex), "V": np.array([0.0, 1.0], dtype=complex),
+            "D": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+            "L": np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)}
+    setting_kets = [np.kron(kets[a], kets[b]) for a, b in TOMOGRAPHY_SETTINGS]
+    return np.array([np.kron(ket.conj(), ket) for ket in setting_kets])
 
 
 def shared_state_with_coherence(kappa):
@@ -272,9 +282,21 @@ class TestTomographyKernel:
         # oracle's own error at up to 1.3e-15 and the closed form's at 4.6e-16.
         freqs = np.random.default_rng(seed).random(16)
         rho = np.array(tomography.linear_inversion(freqs.tolist()))
-        expected = (np.linalg.inv(_DESIGN) @ freqs).reshape(4, 4)
+        expected = (np.linalg.inv(kron_design()) @ freqs).reshape(4, 4)
         assert np.max(np.abs(rho - expected)) <= 2e-15
         assert np.array_equal(rho, rho.conj().T)
+
+    @given(SEEDS, st.integers(1, 4))
+    @settings(deadline=None)
+    def test_frequencies_and_linear_inversion_invert_each_other(self, seed, rank):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = g @ g.conj().T / np.sum(np.abs(g) ** 2)
+        back = tomography.linear_inversion(tomography.frequencies(rho.tolist()))
+        assert np.max(np.abs(np.array(back) - rho)) <= 1e-15
+        freqs = rng.random(16)
+        again = tomography.frequencies(tomography.linear_inversion(freqs.tolist()))
+        assert np.max(np.abs(np.array(again) - freqs)) <= 1e-15
 
     @given(SEEDS)
     @settings(deadline=None)
@@ -376,6 +398,14 @@ class TestValidation:
     def test_rejects_malformed_matrix(self, rho, dim, message):
         with pytest.raises(InvariantViolation, match=message):
             validate_density_matrix(rho, dim=dim)
+
+    @pytest.mark.parametrize("measure", [validate_density_matrix, von_neumann_entropy,
+                                         lambda rho: fidelity(rho, rho)],
+                             ids=["validate", "entropy", "fidelity"])
+    def test_rejects_empty_matrix(self, measure):
+        with pytest.raises(InvariantViolation) as refusal:
+            measure(np.zeros((0, 0)))
+        assert str(refusal.value) == "density matrix must not be empty, got shape (0, 0)"
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         rho = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
